@@ -13,6 +13,7 @@ from .core import (
     InvalidPolicyError,
     InvalidProbabilityError,
     NegativeCostError,
+    PlanOverflowError,
     Policy,
     StepModel,
     TaskPlan,
@@ -65,6 +66,7 @@ __all__ = [
     "InvalidSweepValueError",
     "MonteCarloSummary",
     "NegativeCostError",
+    "PlanOverflowError",
     "PlanTooLargeError",
     "Policy",
     "Scenario",

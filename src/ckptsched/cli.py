@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 bad invocation, 3 invalid config or plan,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -75,9 +76,28 @@ def _parse_policy(spec: str, plan: TaskPlan, include_correct_cost: bool) -> Poli
 
 def _parse_values(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",")]
+        values = [float(x) for x in text.split(",")]
     except ValueError:
         raise lab.InvalidSweepValueError(f"--values must be a comma-separated number list, got {text!r}") from None
+    for value in values:
+        if not math.isfinite(value):
+            raise lab.InvalidSweepValueError(f"--values must be finite, got {value!r}")
+    return values
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -214,11 +234,7 @@ def _cmd_error_loc(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.input)
     locations = args.locations.split(",") if args.locations else list(lab.LOCATIONS)
     rows = lab.error_location_experiment(
-        scenario,
-        locations,
-        mc_runs=args.runs,
-        seed=args.seed,
-        include_correct_cost=args.with_correct_cost,
+        scenario, locations, include_correct_cost=args.with_correct_cost
     )
     header, csv_rows = lab.error_location_csv_rows(rows)
     _emit(lab.render_csv(header, csv_rows), args.out)
@@ -246,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("solve", _cmd_solve, "solve for the optimal checkpoint schedule")
-    p.add_argument("--precision", type=int, default=2,
+    p.add_argument("--precision", type=_int_at_least(0), default=2,
                    help="decimal places in the table (default 2)")
 
     p = add("eval", _cmd_eval, "price a fixed policy analytically")
@@ -256,16 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", _cmd_simulate, "sample the confirm/diagnose/correct/redo process")
     p.add_argument("--policy", required=True,
                    help="'optimal', 'end', 'every', or comma-separated next_ckpt list")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--runs", type=int, default=1,
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="master seed (default 0)")
+    p.add_argument("--runs", type=_int_at_least(1), default=1,
                    help="1 prints a full trace, >1 prints a Monte Carlo summary")
 
     add("enumerate", _cmd_enumerate, "brute-force the optimum over all policies")
 
     p = add("compare", _cmd_compare, "compare optimal vs end-only vs every-step")
-    p.add_argument("--runs", type=int, default=10_000,
+    p.add_argument("--runs", type=_int_at_least(1), default=10_000,
                    help="Monte Carlo runs per strategy (default 10000)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="master seed (default 0)")
 
     p = add("sweep", _cmd_sweep, "re-solve across one parameter axis")
     p.add_argument("--axis", required=True, choices=lab.SWEEP_AXES)
@@ -276,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
             "forced single-error comparison by error location")
     p.add_argument("--locations", default=None,
                    help="comma-separated subset of early,mid,late (default all)")
-    p.add_argument("--runs", type=int, default=1,
-                   help="accepted for parity; forced runs are deterministic")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for parity; forced runs are deterministic")
 
     return parser
 

@@ -34,6 +34,10 @@ class NegativeCostError(InvalidPlanError):
     """A step time cost is negative or non-finite."""
 
 
+class PlanOverflowError(InvalidPlanError):
+    """The plan's expected completion time overflows float64."""
+
+
 class IndexOutOfRangeError(IndexError):
     """A state-interval query used indices outside the plan."""
 

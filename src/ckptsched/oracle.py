@@ -8,9 +8,11 @@ small plans. Both exist to check the solver, and the solver to check them.
 
 Randomness: run r of master seed s reads its own disjoint window of a
 counter-based uniform stream, so any single run is reproducible in isolation
-and results do not depend on execution order. Agent forward-execution time is
-never charged (cost is user interaction time); execute events are logged with
-zero duration for trace readability.
+and results do not depend on execution order. That is what lets Monte Carlo
+advance all runs together in numpy (``_lockstep_runs``) with the same bits as
+the scalar state machine (``_run_cdcr``), which traces and forced runs use.
+Agent forward-execution time is never charged (cost is user interaction time);
+execute events are logged with zero duration for trace readability.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .solver import _policy_values
 
 DEFAULT_ENUM_CAP = 8
 
+# Lane pool of the lockstep Monte Carlo: lanes x N stays near this many cells,
+# so its working set is fixed whatever the run count.
+_LANE_CELLS = 16384
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -44,6 +50,13 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
     return x ^ (x >> 31)
+
+
+def _stream_base(seed: int) -> int:
+    """Counter of master seed ``seed`` at which run 0's window starts."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return _mix64((seed + _GOLDEN) & _MASK64)
 
 
 class RunStream:
@@ -58,10 +71,7 @@ class RunStream:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int, run: int) -> None:
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        base = _mix64((seed + _GOLDEN) & _MASK64)
-        self._state = (base + (run << 32) * _GOLDEN) & _MASK64
+        self._state = (_stream_base(seed) + (run << 32) * _GOLDEN) & _MASK64
 
     def random(self) -> float:
         self._state = s = (self._state + _GOLDEN) & _MASK64
@@ -204,6 +214,137 @@ def _forced_outcomes(fail_step: int | None) -> Callable[[int, int], Sequence[boo
     return outcomes
 
 
+_U64_GOLDEN = np.uint64(_GOLDEN)
+_U64_MIX_A = np.uint64(_MIX_A)
+_U64_MIX_B = np.uint64(_MIX_B)
+
+
+def _run_states(base: int, runs: np.ndarray) -> np.ndarray:
+    """Start counters of the given runs: RunStream's, as a uint64 array."""
+    return np.uint64(base) + (runs.astype(np.uint64) << np.uint64(32)) * _U64_GOLDEN
+
+
+def _draw_bits(
+    states: np.ndarray, width: int, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """Draws 1..width past each counter in ``states``, as 53-bit integers.
+
+    ``out[r, c]`` is the b for which the (c+1)-th call of RunStream.random at
+    counter ``states[r]`` returns b * 2**-53: _mix64 in wrapping uint64
+    arithmetic. ``tmp`` is a work array of ``out``'s shape.
+    """
+    np.add(states[:, None], np.arange(1, width + 1, dtype=np.uint64) * _U64_GOLDEN, out=out)
+    out ^= np.right_shift(out, np.uint64(30), out=tmp)
+    out *= _U64_MIX_A
+    out ^= np.right_shift(out, np.uint64(27), out=tmp)
+    out *= _U64_MIX_B
+    out ^= np.right_shift(out, np.uint64(31), out=tmp)
+    out >>= np.uint64(11)
+    return out
+
+
+def _lockstep_runs(
+    p: Sequence[float],
+    tc: Sequence[float],
+    td: Sequence[float],
+    tcor: Sequence[float],
+    tr: Sequence[float],
+    next_ckpt: Sequence[int],
+    runs: int,
+    seed: int,
+    include_correct_cost: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Totals and cycle counts of runs 0..runs-1, as float64 arrays.
+
+    Run r's entries are bit-identical to ``_run_cdcr`` over
+    ``_sampled_outcomes(p, RunStream(seed, r))``. A fixed pool of lanes each
+    holds one run, and each pass plays one confirm interval on every lane.
+    Costs are added one at a time in the scalar order; a lane with nothing to
+    add at that position adds 0.0, which leaves a total >= 0 unchanged. A
+    lane whose run finishes writes the run's slot and takes the next run, or
+    idles once none is left. Every array a pass touches keeps the pool's
+    size, so memory beyond the two outputs stays fixed whatever ``runs`` is.
+    """
+    base = _stream_base(seed)
+    n = len(p)
+    nxt = np.asarray(next_ckpt, dtype=np.intp)
+    # A draw b * 2**-53 < p exactly when b < ceil(p * 2**53) (scaling by a
+    # power of two is exact), so step outcomes compare integers. Indices
+    # i + offset reach 2n - 2; the padding threshold 2**53 never fails.
+    threshold = np.full(2 * n, 2**53, dtype=np.uint64)
+    threshold[:n] = np.ceil(np.asarray(p) * 2.0**53)
+    tc_a = np.asarray(tc, dtype=float)
+    td_pad = np.zeros(2 * n)
+    td_pad[:n] = td
+    tr_pad = np.zeros(2 * n)
+    tr_pad[:n] = tr
+    tcor_a = np.asarray(tcor, dtype=float)
+    offsets = np.arange(n)
+
+    totals = np.empty(runs)
+    cycle_counts = np.empty(runs)
+    lanes = min(runs, max(1, _LANE_CELLS // n))
+    # One confirm interval's draws for every lane: at most lanes x n cells.
+    bits = np.empty(lanes * n, dtype=np.uint64)
+    spare = np.empty(lanes * n, dtype=np.uint64)
+    index = np.empty(lanes * n, dtype=np.intp)
+    fail_buf = np.empty(lanes * n, dtype=bool)
+    inside_buf = np.empty(lanes * n, dtype=bool)
+
+    lane_ids = np.arange(lanes)
+    run = np.arange(lanes)  # -1 marks an idle lane
+    state = _run_states(base, run)
+    i = np.zeros(lanes, dtype=np.intp)
+    total = np.zeros(lanes)
+    cycles = np.zeros(lanes, dtype=np.intp)
+    next_run = live = lanes
+    while live > 0:
+        j = nxt[i]
+        width = j - i
+        w_max = int(width.max())
+        shape = (lanes, w_max)
+        cells = lanes * w_max
+        cols = offsets[:w_max]
+        drawn = _draw_bits(state, w_max, bits[:cells].reshape(shape), spare[:cells].reshape(shape))
+        steps = np.add(i[:, None], cols, out=index[:cells].reshape(shape))
+        limit = np.take(threshold, steps, out=spare[:cells].reshape(shape))
+        fail = np.greater_equal(drawn, limit, out=fail_buf[:cells].reshape(shape))
+        fail &= np.less(cols, width[:, None], out=inside_buf[:cells].reshape(shape))
+        state += width.astype(np.uint64) * _U64_GOLDEN
+        total += tc_a[j - 1]
+
+        # A failed confirm: diagnose i+1..m, correct m, redo m..j, resume at m-1.
+        first = fail.argmax(axis=1)
+        failed = fail[lane_ids, first]
+        m = i + first + 1
+        diag = np.where(failed, first + 1, 0)
+        for off in range(int(diag.max())):
+            total += np.where(off < diag, td_pad[i + off], 0.0)
+        if include_correct_cost:
+            total += np.where(failed, tcor_a[m - 1], 0.0)
+        redo = np.where(failed, width - first, 0)
+        for off in range(int(redo.max())):
+            total += np.where(off < redo, tr_pad[m - 1 + off], 0.0)
+        cycles += failed
+        i = np.where(failed, m - 1, j)
+
+        finished = ~failed & (j == n)
+        done = np.flatnonzero(finished & (run >= 0))
+        if done.size:
+            totals[run[done]] = total[done]
+            cycle_counts[run[done]] = cycles[done]
+            refill = done[: runs - next_run]
+            live -= done.size - refill.size
+            run[done] = -1
+            run[refill] = np.arange(next_run, next_run + refill.size)
+            state[refill] = _run_states(base, run[refill])
+            next_run += refill.size
+        i[finished] = 0
+        total[finished] = 0.0
+        cycles[finished] = 0
+    return totals, cycle_counts
+
+
 def _trace_from(
     plan: TaskPlan,
     policy: Policy,
@@ -268,15 +409,9 @@ def monte_carlo(
     policy.validate_for(plan.n)
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    p, tc, td, tcor, tr = plan_columns(plan)
-    next_ckpt = policy.next_ckpt
-    totals = np.empty(runs)
-    cycle_counts = np.empty(runs)
-    for r in range(runs):
-        outcomes = _sampled_outcomes(p, RunStream(seed, r))
-        totals[r], cycle_counts[r] = _run_cdcr(
-            p, tc, td, tcor, tr, next_ckpt, outcomes, include_correct_cost, None
-        )
+    totals, cycle_counts = _lockstep_runs(
+        *plan_columns(plan), policy.next_ckpt, runs, seed, include_correct_cost
+    )
     mean = float(totals.mean())
     if runs > 1:
         std_error = float(totals.std(ddof=1)) / math.sqrt(runs)

@@ -179,9 +179,6 @@ def get_scenario(name: str) -> Scenario | None:
     return None
 
 
-BUILTIN_NAMES = ("fig4", "shopping", "image-editing", "overcooked")
-
-
 # ---------------------------------------------------------------------------
 # Strategy comparison
 # ---------------------------------------------------------------------------
@@ -379,19 +376,15 @@ def _location_step(location: str, n: int) -> int:
 def error_location_experiment(
     scenario: Scenario,
     locations: Sequence[str] = LOCATIONS,
-    mc_runs: int = 1,
-    seed: int = 0,
     include_correct_cost: bool = False,
 ) -> list[ErrorLocationRow]:
     """Force exactly one step failure at a fixed position and compare the
     optimized schedule against end-only confirmation.
 
     Outcomes are fully forced (the chosen step fails once, everything else
-    succeeds), so each cell is exact and deterministic; mc_runs and seed are
-    accepted for interface parity with the sampled experiments but replication
-    would reproduce the same trace.
+    succeeds), so each cell is exact and deterministic: there is nothing to
+    sample, hence no run count or seed.
     """
-    del mc_runs, seed  # forced outcomes leave nothing to sample
     validate_scenario(scenario)
     plan = scenario.plan
     n = plan.n

@@ -44,6 +44,7 @@ import numpy as np
 
 from .core import (
     IndexOutOfRangeError,
+    PlanOverflowError,
     Policy,
     TaskPlan,
     diagnose_redo_prefix_sums,
@@ -167,6 +168,10 @@ def solve(plan: TaskPlan, include_correct_cost: bool = False) -> SolveResult:
             if v_j < best:
                 best = v_j
                 best_j = i + 1 + offset
+        if best_j < 0:
+            raise PlanOverflowError(
+                f"expected time from state {i} is not a finite float64"
+            )
         value[i] = best
         next_ckpt[i] = best_j
         residual = (1.0 - p_next) * best

@@ -1,16 +1,22 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckptsched.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_TOO_LARGE,
+    EXIT_USAGE,
     main,
 )
+from ckptsched.scenarios import SWEEP_AXES
 
 
 def run(capsys, *argv):
@@ -163,6 +169,10 @@ def test_sweep_rejects_bad_values(capsys):
     code, _, err = run(capsys, "sweep", "shopping", "--axis", "p_a",
                        "--values", "0.0")
     assert code == EXIT_CONFIG
+    for values in ("inf", "-inf", "nan", "2,1e400"):
+        code, _, err = run(capsys, "sweep", "fig4", "--axis", "N", f"--values={values}")
+        assert code == EXIT_CONFIG
+        assert "finite" in err
 
 
 def test_error_loc_directions(capsys):
@@ -213,3 +223,86 @@ def test_builtin_name_collision_warns(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "solve", "fig4")
     assert code == EXIT_OK
     assert "ignored" in err
+
+
+# ---------------------------------------------------------------------------
+# Numeric flags
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "fig4", "--precision", "-1"],
+    ["simulate", "fig4", "--policy", "end", "--runs", "0"],
+    ["simulate", "fig4", "--policy", "end", "--runs", "-3"],
+    ["simulate", "fig4", "--policy", "end", "--seed", "-1"],
+    ["compare", "fig4", "--runs", "0"],
+    ["compare", "fig4", "--seed", "-1"],
+    ["error-loc", "shopping", "--runs", "3"],
+])
+def test_bad_numeric_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sweep_overflow_is_config_error(capsys):
+    code, _, err = run(capsys, "sweep", "shopping", "--axis", "p_a", "--values", "1e-308")
+    assert code == EXIT_CONFIG
+    assert "finite" in err
+
+
+def _int_text(low: int, high: int):
+    """An integer in [low, high] as text, or a string that is no integer or
+    at most ``high`` (which bounds --runs and keeps each example fast)."""
+
+    def at_most_high(text: str) -> bool:
+        try:
+            return int(text) <= high
+        except ValueError:
+            return True
+
+    return st.one_of(
+        st.integers(low, high).map(str),
+        st.sampled_from(["", "x", "1.5", "1e3", "-0", " 7", "0x10"]),
+        st.text(max_size=4).filter(at_most_high),
+    )
+
+
+def _sweep_value_text(axis: str):
+    """A sweep value as text; on the N axis, finite values stay within +-50
+    because each one builds and solves a plan of that many steps."""
+    number = st.floats(-50, 50) if axis == "N" else st.floats()
+    return st.one_of(number.map(repr), st.sampled_from(["inf", "1e400", "oops", ""]))
+
+
+@st.composite
+def _numeric_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["solve", "simulate", "compare", "sweep"]))
+    argv = [command, draw(st.sampled_from(["fig4", "shopping"]))]
+    if draw(st.booleans()):
+        argv.append("--with-correct-cost")
+    if command == "solve":
+        argv += ["--precision", draw(_int_text(-5, 30))]
+    elif command == "sweep":
+        axis = draw(st.sampled_from(SWEEP_AXES))
+        values = draw(st.lists(_sweep_value_text(axis), min_size=1, max_size=4))
+        argv += ["--axis", axis, "--values", ",".join(values)]
+    else:
+        if command == "simulate":
+            argv += ["--policy", draw(st.sampled_from(["optimal", "end", "every"]))]
+        argv += ["--runs", draw(_int_text(-5, 50)), "--seed", draw(_int_text(-5, 2**70))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_numeric_argv())
+def test_numeric_flags_end_in_a_documented_exit_code(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()

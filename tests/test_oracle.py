@@ -2,7 +2,10 @@
 
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ckptsched import (
@@ -13,12 +16,25 @@ from ckptsched import (
     enumerate_policies,
     evaluate_policy,
     format_trace,
+    get_scenario,
     monte_carlo,
     simulate_run,
     simulate_run_forced,
     solve,
 )
-from ckptsched.oracle import CONFIRM, EXECUTE, RunStream
+from ckptsched.core import plan_columns
+from ckptsched.oracle import (
+    _LANE_CELLS,
+    CONFIRM,
+    EXECUTE,
+    RunStream,
+    _draw_bits,
+    _lockstep_runs,
+    _run_cdcr,
+    _run_states,
+    _sampled_outcomes,
+    _stream_base,
+)
 
 from oracles import random_plan
 
@@ -156,6 +172,85 @@ def test_mc_agrees_with_analytic_value(fig4_plan):
 def test_runs_must_be_positive(fig4_plan):
     with pytest.raises(ValueError):
         monte_carlo(fig4_plan, Policy.end_only(5), runs=0, seed=0)
+
+
+def _scalar_runs(cols, next_ckpt, runs, seed, include_correct_cost):
+    """Per-run totals and cycles from the scalar state machine, run by run."""
+    totals = np.empty(runs)
+    cycles = np.empty(runs)
+    for r in range(runs):
+        outcomes = _sampled_outcomes(cols[0], RunStream(seed, r))
+        totals[r], cycles[r] = _run_cdcr(
+            *cols, next_ckpt, outcomes, include_correct_cost, None
+        )
+    return totals, cycles
+
+
+def _assert_lockstep_matches_scalar(plan, policy, runs, seed, include_correct_cost):
+    cols = plan_columns(plan)
+    args = (policy.next_ckpt, runs, seed, include_correct_cost)
+    totals, cycles = _lockstep_runs(*cols, *args)
+    expected_totals, expected_cycles = _scalar_runs(cols, *args)
+    assert np.array_equal(totals, expected_totals)
+    assert np.array_equal(cycles, expected_cycles)
+
+
+SEEDS = (0, 2**63, 2**64 + 5)
+
+
+def test_lockstep_runs_equal_scalar_runs_on_random_plans():
+    rng = random.Random(20261018)
+    for case in range(45):
+        plan = random_plan(rng, n_lo=1, n_hi=25, p_lo=0.3)
+        # some steps that never fail (p_a = 1)
+        plan = TaskPlan(
+            replace(step, p_a=1.0) if rng.random() < 0.25 else step
+            for step in plan.steps
+        )
+        policy = Policy(rng.randint(i + 1, plan.n) for i in range(plan.n))
+        runs = rng.choice((1, 2, 17, 300))
+        _assert_lockstep_matches_scalar(
+            plan, policy, runs, SEEDS[case % 3], include_correct_cost=bool(case % 2)
+        )
+
+
+@pytest.mark.parametrize("n", [1, 20])
+def test_lockstep_runs_equal_scalar_runs_around_the_lane_pool_size(n):
+    rng = random.Random(n)
+    plan = random_plan(rng, n_lo=n, n_hi=n, p_lo=0.3)
+    policy = Policy(rng.randint(i + 1, n) for i in range(n))
+    lanes = max(1, _LANE_CELLS // n)
+    for k, runs in enumerate((1, lanes - 1, lanes, lanes + 1, 3 * lanes + 7)):
+        _assert_lockstep_matches_scalar(
+            plan, policy, runs, SEEDS[k % 3], include_correct_cost=bool(k % 2)
+        )
+
+
+def test_vector_splitmix_equals_run_stream():
+    for seed in SEEDS:
+        states = _run_states(_stream_base(seed), np.arange(1000))
+        out = np.empty((1000, 3), dtype=np.uint64)
+        draws = _draw_bits(states, 3, out, np.empty_like(out)) * 2.0**-53
+        expected = []
+        for r in range(1000):
+            stream = RunStream(seed, r)
+            expected.append([stream.random() for _ in range(3)])
+        assert np.array_equal(draws, np.array(expected))
+
+
+def test_monte_carlo_memory_grows_only_with_its_outputs():
+    """Only the per-run outputs scale with runs; the lane pool is fixed."""
+    plan = get_scenario("shopping").plan
+    policy = Policy.end_only(plan.n)
+    peaks = {}
+    for runs in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            monte_carlo(plan, policy, runs=runs, seed=0)
+            peaks[runs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200_000] - peaks[20_000] <= 48 * 180_000
 
 
 def test_mc_dominance_under_sampling_noise(fig4_plan):

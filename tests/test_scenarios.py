@@ -269,10 +269,10 @@ def test_error_location_early_beats_end_only():
         assert rows[0].optimal_time < rows[0].end_only_time
 
 
-def test_error_location_is_deterministic_whatever_the_seed():
+def test_error_location_is_deterministic():
     scenario = get_scenario("overcooked")
-    a = error_location_experiment(scenario, mc_runs=1, seed=0)
-    b = error_location_experiment(scenario, mc_runs=50, seed=123)
+    a = error_location_experiment(scenario)
+    b = error_location_experiment(scenario)
     assert a == b
 
 

@@ -11,6 +11,7 @@ from ckptsched import (
     IndexOutOfRangeError,
     InvalidProbabilityError,
     InvalidPolicyError,
+    PlanOverflowError,
     Policy,
     StepModel,
     TaskPlan,
@@ -79,6 +80,15 @@ def test_single_step_plan():
 def test_solve_rejects_invalid_plan():
     with pytest.raises(InvalidProbabilityError):
         solve(TaskPlan([StepModel(0.0)]))
+
+
+@pytest.mark.parametrize("step", [
+    StepModel(1e-308, t_confirm=1.0),
+    StepModel(0.5, t_confirm=1.7e308),
+])
+def test_solve_overflow_is_a_typed_error(step):
+    with pytest.raises(PlanOverflowError):
+        solve(TaskPlan([step] * 3))
 
 
 def test_t_table_shape_and_sentinels(fig4_plan):
