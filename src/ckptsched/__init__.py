@@ -39,6 +39,7 @@ from .scenarios import (
     ComparisonReport,
     ConfigError,
     InvalidSweepValueError,
+    MAX_STEPS,
     Scenario,
     builtin_scenarios,
     compare_strategies,
@@ -49,7 +50,7 @@ from .scenarios import (
     save_scenario,
     sweep,
 )
-from .solver import SolveResult, evaluate_policy, interval_cost, solve
+from .solver import SolveResult, evaluate_policy, solve
 
 __version__ = "0.1.0"
 
@@ -64,6 +65,7 @@ __all__ = [
     "InvalidPolicyError",
     "InvalidProbabilityError",
     "InvalidSweepValueError",
+    "MAX_STEPS",
     "MonteCarloSummary",
     "NegativeCostError",
     "PlanOverflowError",
@@ -84,7 +86,6 @@ __all__ = [
     "first_error_distribution",
     "format_trace",
     "get_scenario",
-    "interval_cost",
     "load_scenario",
     "monte_carlo",
     "reachable_states",

@@ -100,6 +100,21 @@ def _int_at_least(low: int):
     return parse
 
 
+def _locations(text: str) -> list[str]:
+    """argparse type: a comma-separated subset of the error locations, else a
+    usage error (exit 2); the empty string means all of them."""
+    if not text:
+        return list(lab.LOCATIONS)
+    locations = text.split(",")
+    unknown = [x for x in locations if x not in lab.LOCATIONS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown location(s) {', '.join(map(repr, unknown))}; "
+            f"use a comma-separated subset of {','.join(lab.LOCATIONS)}"
+        )
+    return locations
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -232,9 +247,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_error_loc(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.input)
-    locations = args.locations.split(",") if args.locations else list(lab.LOCATIONS)
     rows = lab.error_location_experiment(
-        scenario, locations, include_correct_cost=args.with_correct_cost
+        scenario, args.locations, include_correct_cost=args.with_correct_cost
     )
     header, csv_rows = lab.error_location_csv_rows(rows)
     _emit(lab.render_csv(header, csv_rows), args.out)
@@ -292,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("error-loc", _cmd_error_loc,
             "forced single-error comparison by error location")
-    p.add_argument("--locations", default=None,
+    p.add_argument("--locations", type=_locations, default=lab.LOCATIONS,
                    help="comma-separated subset of early,mid,late (default all)")
 
     return parser

@@ -27,11 +27,10 @@ import numpy as np
 from .core import (
     Policy,
     TaskPlan,
-    diagnose_redo_prefix_sums,
     plan_columns,
     validate_plan,
 )
-from .solver import _policy_values
+from .solver import _Columns, _policy_values
 
 DEFAULT_ENUM_CAP = 8
 
@@ -445,15 +444,12 @@ def enumerate_policies(
             f"plan has {n} steps; enumeration capped at {max_n} "
             f"({math.factorial(n)} policies)"
         )
-    p, tc, _, tcor, _ = plan_columns(plan)
-    td_sum, tr_sum = diagnose_redo_prefix_sums(plan)
+    cols = _Columns(plan)
     best_value = math.inf
     best: tuple[int, ...] | None = None
     evaluated = 0
     for candidate in itertools.product(*(range(i + 1, n + 1) for i in range(n))):
-        v0 = _policy_values(
-            n, candidate, p, tc, tcor, td_sum, tr_sum, include_correct_cost
-        )[0]
+        v0 = _policy_values(n, candidate, cols, include_correct_cost)[0]
         evaluated += 1
         if v0 < best_value:
             best_value = v0

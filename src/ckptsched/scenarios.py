@@ -49,6 +49,11 @@ DEFAULT_T_CONFIRM = 8.0
 DEFAULT_T_DIAGNOSE = 4.0
 DEFAULT_T_CORRECT = 10.0
 
+# Longest plan a config file or an N sweep may build. solve() takes about
+# 1.5 s at this size on one core and needs no O(N^2) memory; the limit turns
+# a plan such as n = 10**8 into a ConfigError instead of a hang.
+MAX_STEPS = 10_000
+
 _NUMERIC_FIELDS = ("n", "p_a", "t_confirm", "t_diagnose", "t_correct", "t_redo")
 
 
@@ -297,8 +302,10 @@ class SweepRow:
 
 def _apply_axis(base: Scenario, axis: str, value: float) -> TaskPlan:
     if axis == "N":
-        if value != int(value) or int(value) < 1:
-            raise InvalidSweepValueError(f"N must be a positive integer, got {value!r}")
+        if value != int(value) or not 1 <= value <= MAX_STEPS:
+            raise InvalidSweepValueError(
+                f"N must be an integer in 1..{MAX_STEPS}, got {value!r}"
+            )
         template = base.plan.steps[0]
         return TaskPlan([template] * int(value))
     if axis == "p_a":
@@ -470,6 +477,8 @@ def scenario_from_dict(data: object) -> Scenario:
         raw = data["steps"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("'steps' must be a non-empty list")
+        if len(raw) > MAX_STEPS:
+            raise ConfigError(f"'steps' has {len(raw)} entries; the limit is {MAX_STEPS}")
         steps = [_step_from_dict(s, f"steps[{idx}]") for idx, s in enumerate(raw)]
         plan = TaskPlan(steps)
     else:
@@ -480,8 +489,8 @@ def scenario_from_dict(data: object) -> Scenario:
         if missing:
             raise ConfigError(f"uniform config missing key(s) {sorted(missing)}")
         n = data["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"'n' must be a positive integer, got {n!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_STEPS:
+            raise ConfigError(f"'n' must be an integer in 1..{MAX_STEPS}, got {n!r}")
         costs = {
             k: _require_number(data.get(k, 0.0), k)
             for k in ("t_confirm", "t_diagnose", "t_correct", "t_redo")
@@ -520,6 +529,8 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return scenario_from_dict(data)
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
 Each function recomputes a quantity by a route the library does not take:
-plain product loops for the kernels, a dense linear solve over a policy's
+plain product loops for the kernels, a direct double loop over one table
+cell instead of the streamed row kernel, a dense linear solve over a policy's
 state equations instead of the per-row closed form, and sweep-to-convergence
 fixed-point iteration instead of the algebraic fixed point.
 """
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 import numpy as np
 
-from ckptsched import Policy, StepModel, TaskPlan
+from ckptsched import IndexOutOfRangeError, Policy, StepModel, TaskPlan
 
 
 def ref_survival(plan: TaskPlan, i: int, j: int) -> float:
@@ -26,6 +28,44 @@ def ref_first_error(plan: TaskPlan, i: int, j: int) -> list[tuple[int, float]]:
         prefix = math.prod(s.p_a for s in plan.steps[i : m - 1])
         out.append((m, prefix * (1.0 - plan.steps[m - 1].p_a)))
     return out
+
+
+def interval_cost(
+    plan: TaskPlan,
+    i: int,
+    j: int,
+    value: Sequence[float],
+    self_value: float,
+    include_correct_cost: bool = False,
+) -> float:
+    """Evaluate T[i, j] directly against a given value vector.
+
+    ``value[m]`` supplies the continuation for states m > i; the continuation
+    for state i itself (reached when the very first step of the interval is
+    the one that failed) is read from ``self_value``, which may be a trial
+    value while a row is still being resolved.
+    """
+    if not (0 <= i < j <= plan.n):
+        raise IndexOutOfRangeError(f"need 0 <= i < j <= {plan.n}, got ({i}, {j})")
+    steps = plan.steps
+    total = steps[j - 1].t_confirm
+    surv = 1.0
+    diag = 0.0
+    for m in range(i + 1, j + 1):
+        step = steps[m - 1]
+        q = surv * (1.0 - step.p_a)
+        diag += step.t_diagnose
+        if q != 0.0:
+            redo = 0.0
+            for k in range(m, j + 1):
+                redo += steps[k - 1].t_redo
+            branch = diag + redo
+            if include_correct_cost:
+                branch += step.t_correct
+            branch += self_value if m == i + 1 else value[m - 1]
+            total += q * branch
+        surv *= step.p_a
+    return total + surv * value[j]
 
 
 def _branch_cost(plan: TaskPlan, i: int, m: int, j: int, include_correct: bool) -> float:

@@ -16,7 +16,7 @@ from ckptsched.cli import (
     EXIT_USAGE,
     main,
 )
-from ckptsched.scenarios import SWEEP_AXES
+from ckptsched.scenarios import LOCATIONS, MAX_STEPS, SWEEP_AXES
 
 
 def run(capsys, *argv):
@@ -246,6 +246,51 @@ def test_bad_numeric_flag_is_usage_error(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("locations", ["bogus", "early,bogus", "early,,mid", "Early"])
+def test_unknown_error_location_is_usage_error(capsys, locations):
+    with pytest.raises(SystemExit) as exc:
+        main(["error-loc", "shopping", "--locations", locations])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "unknown location" in err
+
+
+def test_error_loc_locations_subset_keeps_order(capsys):
+    code, out, _ = run(capsys, "error-loc", "shopping", "--locations", "late,early")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == ["late,11,100,100", "early,2,76,244"]
+
+
+def test_non_utf8_config_is_config_error(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == EXIT_CONFIG
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("config", [
+    {"name": "x", "n": MAX_STEPS + 1, "p_a": 0.9},
+    {"name": "x", "n": 10**8, "p_a": 0.9},
+    {"name": "x", "steps": [{"p_a": 0.9}] * (MAX_STEPS + 1)},
+])
+def test_config_over_the_step_limit_is_config_error(capsys, tmp_path, config):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == EXIT_CONFIG
+    assert str(MAX_STEPS) in err
+
+
+@pytest.mark.parametrize("values", [str(MAX_STEPS + 1), "1e12", "3,1e12"])
+def test_sweep_over_the_step_limit_is_config_error(capsys, values):
+    code, out, err = run(capsys, "sweep", "fig4", "--axis", "N", "--values", values)
+    assert code == EXIT_CONFIG
+    assert str(MAX_STEPS) in err
+    assert out == ""
+
+
 def test_sweep_overflow_is_config_error(capsys):
     code, _, err = run(capsys, "sweep", "shopping", "--axis", "p_a", "--values", "1e-308")
     assert code == EXIT_CONFIG
@@ -276,9 +321,16 @@ def _sweep_value_text(axis: str):
     return st.one_of(number.map(repr), st.sampled_from(["inf", "1e400", "oops", ""]))
 
 
+def _locations_text():
+    """A --locations value: known and unknown names joined by commas, or any
+    short text."""
+    names = st.sampled_from(LOCATIONS + ("bogus", "", "Mid", " late"))
+    return st.one_of(st.lists(names, max_size=4).map(",".join), st.text(max_size=6))
+
+
 @st.composite
 def _numeric_argv(draw) -> list[str]:
-    command = draw(st.sampled_from(["solve", "simulate", "compare", "sweep"]))
+    command = draw(st.sampled_from(["solve", "simulate", "compare", "sweep", "error-loc"]))
     argv = [command, draw(st.sampled_from(["fig4", "shopping"]))]
     if draw(st.booleans()):
         argv.append("--with-correct-cost")
@@ -288,6 +340,8 @@ def _numeric_argv(draw) -> list[str]:
         axis = draw(st.sampled_from(SWEEP_AXES))
         values = draw(st.lists(_sweep_value_text(axis), min_size=1, max_size=4))
         argv += ["--axis", axis, "--values", ",".join(values)]
+    elif command == "error-loc":
+        argv.append("--locations=" + draw(_locations_text()))
     else:
         if command == "simulate":
             argv += ["--policy", draw(st.sampled_from(["optimal", "end", "every"]))]

@@ -1,6 +1,9 @@
 """Solver against frozen values, independent oracles, and its own table."""
 
+import math
 import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +19,11 @@ from ckptsched import (
     StepModel,
     TaskPlan,
     evaluate_policy,
-    interval_cost,
     solve,
+    solver,
 )
 
-from oracles import iterate_to_fixed_point, linear_policy_values
+from oracles import interval_cost, iterate_to_fixed_point, linear_policy_values
 
 # Optimal values for the five-step example (p = [.7, .7, .9, .85, .85], unit
 # costs), frozen from a dense linear solve over exhaustively enumerated
@@ -91,6 +94,22 @@ def test_solve_overflow_is_a_typed_error(step):
         solve(TaskPlan([step] * 3))
 
 
+@pytest.mark.parametrize("cut", [solver.ROW_CUT, 1])
+@pytest.mark.parametrize("plan", [
+    TaskPlan([StepModel(1e-308, t_confirm=1.0)] * (solver.ROW_CUT + 3)),
+    TaskPlan([StepModel(0.5, t_confirm=1.7e308)] * (solver.ROW_CUT + 3)),
+    # only row 0, which is long, overflows
+    TaskPlan([StepModel(1e-309, t_confirm=1.0)]
+             + [StepModel(0.9, t_confirm=1.0)] * solver.ROW_CUT),
+])
+def test_solve_overflow_past_the_cut_is_a_typed_error(monkeypatch, plan, cut):
+    monkeypatch.setattr(solver, "ROW_CUT", cut)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the numpy body overflows silently too
+        with pytest.raises(PlanOverflowError):
+            solve(plan)
+
+
 def test_t_table_shape_and_sentinels(fig4_plan):
     table = solve(fig4_plan).t_table
     assert table.shape == (5, 6)
@@ -100,7 +119,129 @@ def test_t_table_shape_and_sentinels(fig4_plan):
 
 
 # ---------------------------------------------------------------------------
-# interval_cost()
+# The row kernel: scalar and numpy bodies, the lazy table
+# ---------------------------------------------------------------------------
+
+
+def _row_both_ways(monkeypatch, i, upto, cols, value, flag):
+    """One row from each body of _row_costs, as arrays."""
+    monkeypatch.setattr(solver, "ROW_CUT", 10**9)
+    scalar = solver._row_costs(i, upto, cols, list(value), flag)
+    assert isinstance(scalar, list)
+    monkeypatch.setattr(solver, "ROW_CUT", 1)
+    with np.errstate(all="ignore"):  # inf * 0 in the rows that read inf
+        by_list = solver._row_costs(i, upto, cols, list(value), flag)
+        by_array = solver._row_costs(i, upto, cols, np.array(value), flag)
+    assert isinstance(by_array, np.ndarray)
+    assert by_list.tobytes() == by_array.tobytes()
+    return np.array(scalar), by_array
+
+
+def _kernel_plans(rng, n):
+    """A random plan, one with p_a = 1 steps mixed in, and one with zero
+    costs of both signs."""
+    yield [StepModel(rng.uniform(0.3, 1.0), *(rng.uniform(0, 10) for _ in range(4)))
+           for _ in range(n)]
+    yield [StepModel(1.0 if k % 3 else rng.uniform(0.5, 1.0),
+                     *(rng.uniform(0, 10) for _ in range(4))) for k in range(n)]
+    yield [StepModel(1.0 if k % 2 else 0.75, -0.0, 0.0, -0.0, 0.0) for k in range(n)]
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("length", [1, solver.ROW_CUT - 1, solver.ROW_CUT,
+                                    solver.ROW_CUT + 1, 200])
+def test_row_kernel_bodies_are_bit_identical(monkeypatch, length, flag):
+    rng = random.Random(length)
+    n = length + 3
+    for steps in _kernel_plans(rng, n):
+        cols = solver._Columns(TaskPlan(steps))
+        finite = [rng.uniform(0, 50) for _ in range(n)] + [0.0]
+        with_inf = list(finite)
+        with_inf[n - 2] = math.inf
+        with_inf[1] = math.inf
+        for value in (finite, with_inf, [0.0] * (n + 1)):
+            for i, upto in ((0, length), (3, n), (n - length, n)):
+                scalar, vector = _row_both_ways(monkeypatch, i, upto, cols, value, flag)
+                assert len(vector) == upto - i
+                assert scalar.tobytes() == vector.tobytes()
+
+
+def test_row_min_ranks_nan_last_and_keeps_the_earliest_tie():
+    nan, inf = math.nan, math.inf
+    rows = [
+        [nan, 3.0, 1.0, nan, 1.0],
+        [inf, nan, inf],
+        [nan, nan],
+        [2.0, 2.0, 5.0],
+        [inf, 4.0, -0.0, 0.0],
+    ]
+    for row in rows:
+        want = solver._row_min(list(row), 0.5)
+        got = solver._row_min(np.array(row), 0.5)
+        assert got == want
+    assert solver._row_min([nan, 3.0, 1.0, nan, 1.0], 0.5) == (2.0, 2)
+    assert solver._row_min([inf, nan, inf], 0.5) == (inf, -1)
+
+
+def _eager_table(plan, flag):
+    """Values and table filled cell by cell during the backwards pass."""
+    n = plan.n
+    cols = solver._Columns(plan)
+    value = [0.0] * (n + 1)
+    table = np.full((n, n + 1), np.nan)
+    for i in range(n - 1, -1, -1):
+        a_row = [float(a) for a in solver._row_costs(i, n, cols, value, flag)]
+        best = min(a / cols.p[i] for a in a_row)
+        value[i] = best
+        for offset, a_ij in enumerate(a_row):
+            table[i, i + 1 + offset] = a_ij + (1.0 - cols.p[i]) * best
+    return np.array(value), table
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_lazy_t_table_equals_eager_table(fig4_plan, flag):
+    from oracles import random_plan
+
+    rng = random.Random(17)
+    plans = [fig4_plan, random_plan(rng, n_lo=solver.ROW_CUT + 5, n_hi=90)]
+    for plan in plans:
+        result = solve(plan, flag)
+        value, table = _eager_table(plan, flag)
+        assert result.value.tobytes() == value.tobytes()
+        assert result.t_table.tobytes() == table.tobytes()
+
+
+def test_t_table_is_priced_once_on_first_read(fig4_plan, monkeypatch):
+    result = solve(fig4_plan)
+    priced = []
+    row_costs = solver._row_costs
+    monkeypatch.setattr(
+        solver, "_row_costs", lambda *a: priced.append(a[0]) or row_costs(*a)
+    )
+    first = result.t_table
+    assert sorted(priced) == list(range(fig4_plan.n))
+    assert result.t_table is first
+    assert len(priced) == fig4_plan.n
+
+
+def test_solve_does_not_build_the_table():
+    rng = random.Random(2000)
+    n = 2000
+    plan = TaskPlan(StepModel(rng.uniform(0.85, 0.999), *(rng.uniform(0, 10) for _ in range(4)))
+                    for _ in range(n))
+    table_bytes = n * (n + 1) * 8  # 31 MiB
+    tracemalloc.start()
+    try:
+        result = solve(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 16
+    assert "t_table" not in vars(result)
+
+
+# ---------------------------------------------------------------------------
+# interval_cost() (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 
