@@ -3,8 +3,12 @@
 The simulator plays out the confirm / diagnose / correct / redo cycle
 step by step under an arbitrary checkpoint policy, so its sample mean is an
 estimate of the analytic expected time that shares no code with the solver's
-recursion. Exhaustive policy enumeration provides the independent optimum for
-small plans. Both exist to check the solver, and the solver to check them.
+recursion. Exhaustive policy enumeration provides the optimum over all N!
+policies of a small plan without the solver's argmin: it walks the policy
+tree and prices all children of a node with one call of the solver's row
+kernel, so it checks the choice of checkpoints but shares the arithmetic of
+each cell with the solver. Both exist to check the solver, and the solver to
+check them.
 
 Randomness: run r of master seed s reads its own disjoint window of a
 counter-based uniform stream, so any single run is reproducible in isolation
@@ -17,7 +21,6 @@ execute events are logged with zero duration for trace readability.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -25,12 +28,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    PlanOverflowError,
     Policy,
     TaskPlan,
     plan_columns,
     validate_plan,
 )
-from .solver import _Columns, _policy_values
+from .solver import _Columns, _row_costs
 
 DEFAULT_ENUM_CAP = 8
 
@@ -435,7 +439,18 @@ def enumerate_policies(
 
     Policy count is N!, so plans above ``max_n`` raise PlanTooLargeError
     rather than silently truncating. Ties resolve to the lexicographically
-    smallest next_ckpt vector.
+    smallest next_ckpt vector, and a plan on which no policy has a finite
+    expected time raises PlanOverflowError.
+
+    The policies are the leaves of a tree walked depth first from state N-1
+    down to state 0: a node at state i has next_ckpt[i+1..N-1], and so
+    V[i+1..N], fixed, and one full row of the kernel prices all of its
+    children, V[i] = a(i, j) / p_a for each j. Cell j of a full row equals
+    the last cell of the row cut at j, because the kernel streams left to
+    right and cell j reads only V[i+1..j], so every leaf's V[0] is the one
+    the policy's own backwards pass gives, bit for bit. The walk makes
+    sum over d < N of d! kernel calls where pricing each policy alone makes
+    N * N!. Every leaf is still priced and counted; nothing is pruned.
     """
     validate_plan(plan)
     n = plan.n
@@ -445,16 +460,47 @@ def enumerate_policies(
             f"({math.factorial(n)} policies)"
         )
     cols = _Columns(plan)
+    p = cols.p
+    value = [0.0] * (n + 1)  # V of the current node's path, states i+1..N
+    next_ckpt = [0] * n  # the path's checkpoints, states i+1..N-1
     best_value = math.inf
     best: tuple[int, ...] | None = None
     evaluated = 0
-    for candidate in itertools.product(*(range(i + 1, n + 1) for i in range(n))):
-        v0 = _policy_values(n, candidate, cols, include_correct_cost)[0]
-        evaluated += 1
-        if v0 < best_value:
-            best_value = v0
-            best = candidate
-    assert best is not None
+
+    def walk(i: int) -> None:
+        nonlocal best_value, best, evaluated
+        row = _row_costs(i, n, cols, value, include_correct_cost)
+        if i > 0:
+            for j, a_ij in enumerate(row, i + 1):
+                value[i] = a_ij / p[i]
+                next_ckpt[i] = j
+                walk(i - 1)
+            return
+        # The leaves below one node differ in next_ckpt[0] only, so the
+        # earliest of its smallest v0 is its lexicographically smallest best.
+        # The walk varies next_ckpt[0] fastest, not next_ckpt[N-1], so an
+        # equal v0 from another node is settled by comparing the vectors.
+        evaluated += n
+        node_value = math.inf
+        node_j = 0
+        for j, a_0j in enumerate(row, 1):
+            v0 = a_0j / p[0]
+            if v0 < node_value:  # NaN never wins
+                node_value = v0
+                node_j = j
+        if node_j:
+            candidate = (node_j, *next_ckpt[1:])
+            if node_value < best_value or (
+                node_value == best_value and candidate < best
+            ):
+                best_value = node_value
+                best = candidate
+
+    walk(n - 1)
+    if best is None:
+        raise PlanOverflowError(
+            "expected time from state 0 is not a finite float64 under any policy"
+        )
     return EnumerationResult(
         best_policy=Policy(best), best_value=best_value, evaluated=evaluated
     )

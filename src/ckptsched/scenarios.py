@@ -438,7 +438,10 @@ _UNIFORM_KEYS = {"n", "p_a", "t_confirm", "t_diagnose", "t_correct", "t_redo"}
 def _require_number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float64
+        raise ConfigError(f"{where} must be a finite float64, got an integer beyond its range") from None
 
 
 def _step_from_dict(entry: object, where: str) -> StepModel:
@@ -531,6 +534,8 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise ConfigError(f"{path}: unreadable JSON: {exc}") from exc
     return scenario_from_dict(data)
 
 

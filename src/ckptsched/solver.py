@@ -31,7 +31,8 @@ term is dropped from the optimization by default, and both variants are
 exposed so that claim can be checked rather than assumed.
 
 One kernel, ``_row_costs``, prices every row: for solve(), for
-evaluate_policy() and brute force (via ``_policy_values``) and for the table.
+evaluate_policy() (via ``_policy_values``), for brute force and for the
+table.
 It streams a row left to right with a running survival product, running
 first-error sums and prefix sums of the diagnose and redo times, so a row
 costs O(upto - i) and a solve O(N^2). It has two bodies. Rows shorter than
@@ -284,11 +285,26 @@ def _policy_values(
     cols: _Columns,
     include_correct_cost: bool,
 ) -> list[float]:
-    """Backwards pass for a fixed policy, list-in list-out (the hot path of
-    policy enumeration, whose rows are short and take the scalar body)."""
+    """Backwards pass for a fixed policy, list-in list-out.
+
+    Short rows read V from the list. Long rows read it from an array that
+    holds V[synced..N]: each long row copies in only the states it adds
+    below ``synced``, so every entry enters the array once, and a policy
+    whose rows are all short never builds it.
+    """
     value = [0.0] * (n + 1)
+    array = None
+    synced = n + 1
     p = cols.p
     for i in range(n - 1, -1, -1):
-        a_ij = _row_costs(i, next_ckpt[i], cols, value, include_correct_cost)[-1]
+        j = next_ckpt[i]
+        if j - i >= ROW_CUT:
+            if array is None:
+                array = np.empty(n + 1)
+            array[i + 1 : synced] = value[i + 1 : synced]
+            synced = i + 1
+            a_ij = _row_costs(i, j, cols, array, include_correct_cost)[-1]
+        else:
+            a_ij = _row_costs(i, j, cols, value, include_correct_cost)[-1]
         value[i] = a_ij / p[i]
     return value

@@ -4,11 +4,16 @@ Each function recomputes a quantity by a route the library does not take:
 plain product loops for the kernels, a direct double loop over one table
 cell instead of the streamed row kernel, a dense linear solve over a policy's
 state equations instead of the per-row closed form, and sweep-to-convergence
-fixed-point iteration instead of the algebraic fixed point.
+fixed-point iteration instead of the algebraic fixed point. Two more share
+the row kernel but not its callers' bookkeeping: brute force that prices
+every policy by its own backwards pass instead of walking the policy tree,
+and a policy pass that hands every row V as a list instead of one shared
+array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Sequence
@@ -16,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ckptsched import IndexOutOfRangeError, Policy, StepModel, TaskPlan
+from ckptsched.solver import _Columns, _policy_values, _row_costs
 
 
 def ref_survival(plan: TaskPlan, i: int, j: int) -> float:
@@ -66,6 +72,43 @@ def interval_cost(
             total += q * branch
         surv *= step.p_a
     return total + surv * value[j]
+
+
+def list_policy_values(
+    plan: TaskPlan, next_ckpt: Sequence[int], include_correct_cost: bool
+) -> list[float]:
+    """A fixed policy's backwards pass with V kept as a list: every row, long
+    ones too, reads V through the kernel's list route."""
+    n = plan.n
+    cols = _Columns(plan)
+    value = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        a_ij = _row_costs(i, next_ckpt[i], cols, value, include_correct_cost)[-1]
+        value[i] = a_ij / plan.steps[i].p_a
+    return value
+
+
+def product_enumerate(
+    plan: TaskPlan, include_correct_cost: bool = False
+) -> tuple[tuple[int, ...] | None, float, int]:
+    """Brute force with each policy priced alone by its own backwards pass,
+    in lexicographic next_ckpt order, keeping the first strictly smallest v0.
+
+    Returns (best next_ckpt, or None when no v0 is finite; its v0; policies
+    priced).
+    """
+    n = plan.n
+    cols = _Columns(plan)
+    best_value = math.inf
+    best = None
+    evaluated = 0
+    for candidate in itertools.product(*(range(i + 1, n + 1) for i in range(n))):
+        v0 = _policy_values(n, candidate, cols, include_correct_cost)[0]
+        evaluated += 1
+        if v0 < best_value:
+            best_value = v0
+            best = candidate
+    return best, best_value, evaluated
 
 
 def _branch_cost(plan: TaskPlan, i: int, m: int, j: int, include_correct: bool) -> float:

@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -125,6 +127,16 @@ def test_enumerate_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CKPTSCHED_ENUM_CAP", "5")
     code, out, _ = run(capsys, "enumerate", "fig4")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["enumerate", "solve"])
+def test_overflowing_config_is_config_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "huge", "n": 3, "p_a": 0.5, "t_confirm": 1e308}))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_CONFIG
+    assert "not a finite float64" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +282,20 @@ def test_non_utf8_config_is_config_error(capsys, tmp_path):
     assert "UTF-8" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"name": "x", "n": 2, "p_a": 0.9, "t_confirm": 1%s}' % ("0" * 400),
+    '{"name": "x", "steps": [{"p_a": -1%s}]}' % ("0" * 400),
+    '{"name": "x", "n": 2, "p_a": 0.9, "t_redo": 1%s}' % ("0" * 5000),
+    "[" * 100_000,
+])
+def test_unreadable_number_or_nesting_is_config_error(capsys, tmp_path, text):
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("config", [
     {"name": "x", "n": MAX_STEPS + 1, "p_a": 0.9},
     {"name": "x", "n": 10**8, "p_a": 0.9},
@@ -358,5 +384,70 @@ def test_numeric_flags_end_in_a_documented_exit_code(argv):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()
+
+
+_COST_FIELDS = ("t_confirm", "t_diagnose", "t_correct", "t_redo")
+_P_A = st.one_of(
+    st.sampled_from([5e-324, 1e-308, 1e-3, 0.5, 1.0 - 2**-53, 1.0]),
+    st.floats(5e-324, 1.0),
+)
+_COST = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e307, 1e308, 1.7976931348623157e308]),
+    st.floats(0.0, 1.7976931348623157e308),
+    st.integers(0, 2**1023),
+)
+# values the config loader or the plan check must reject
+_BAD_P_A = st.sampled_from([0.0, -0.0, 1.0 + 2**-52, -1.0, math.inf, math.nan])
+_BAD_COST = st.one_of(
+    st.sampled_from([-5e-324, -1.0, math.inf, -math.inf, math.nan, "1", None, True]),
+    st.integers(2**1024, 10**310),
+    st.integers(-(10**310), -1),
+)
+
+
+@st.composite
+def _config_argv(draw) -> tuple[dict, list[str]]:
+    """A 1- to 6-step config, uniform or per step, with extreme, zero and
+    (in about one case in four) invalid values, and a solve, eval or
+    enumerate command line for it."""
+    n = draw(st.integers(1, 6))
+    steps = [{"p_a": draw(_P_A), **{k: draw(_COST) for k in _COST_FIELDS}}
+             for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        step = draw(st.sampled_from(steps))
+        key = draw(st.sampled_from(("p_a",) + _COST_FIELDS))
+        step[key] = draw(_BAD_P_A if key == "p_a" else _BAD_COST)
+    if draw(st.booleans()):
+        config = {"name": "fuzz", "steps": steps}
+    else:
+        config = {"name": "fuzz", "n": n, **steps[0]}
+    argv = [draw(st.sampled_from(["solve", "eval", "enumerate"]))]
+    if argv[0] == "eval":
+        explicit = st.lists(st.integers(-1, 7), min_size=1, max_size=7)
+        argv.append("--policy=" + draw(st.one_of(
+            st.sampled_from(["optimal", "end", "every"]),
+            explicit.map(lambda xs: ",".join(map(str, xs))),
+        )))
+    if draw(st.booleans()):
+        argv.append("--with-correct-cost")
+    return config, argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_config_argv())
+def test_config_files_end_in_a_documented_exit_code(case):
+    config, argv = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/fuzz.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)  # writes inf and nan as Infinity and NaN
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main([argv[0], path, *argv[1:]])
+            except SystemExit as exc:
+                code = exc.code
     assert code in {0, 2, 3, 4, 5}
     assert "Traceback" not in err.getvalue()

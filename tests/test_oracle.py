@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ckptsched import (
+    PlanOverflowError,
     PlanTooLargeError,
     Policy,
     StepModel,
@@ -26,6 +27,7 @@ from ckptsched.core import plan_columns
 from ckptsched.oracle import (
     _LANE_CELLS,
     CONFIRM,
+    DEFAULT_ENUM_CAP,
     EXECUTE,
     RunStream,
     _draw_bits,
@@ -36,7 +38,7 @@ from ckptsched.oracle import (
     _stream_base,
 )
 
-from oracles import random_plan
+from oracles import product_enumerate, random_plan
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +320,71 @@ def test_enumerate_tie_break_is_lexicographic():
     result = enumerate_policies(plan)
     assert result.best_value == 0.0
     assert result.best_policy.next_ckpt == (1, 2, 3, 4)
+
+
+def _walk_plans(kind: str, rng: random.Random, n: int) -> TaskPlan:
+    """One plan of a kind for the tree-walk comparison."""
+    def costs(draw):
+        return [draw() for _ in range(4)]
+
+    if kind == "random":
+        steps = [StepModel(rng.uniform(0.3, 1.0), *costs(lambda: rng.uniform(0, 10)))
+                 for _ in range(n)]
+    elif kind == "zero_cost":  # every policy ties at 0
+        steps = [StepModel(rng.choice([1.0, rng.uniform(0.1, 1.0)])) for _ in range(n)]
+    elif kind == "sure_steps":  # p_a = 1: no errors, only confirm costs differ
+        steps = [StepModel(1.0, *costs(lambda: rng.uniform(0, 10))) for _ in range(n)]
+    elif kind == "unit_costs":  # costs in {0, 1}: many exact ties across nodes
+        steps = [StepModel(rng.choice([0.5, 1.0]), *costs(lambda: float(rng.randint(0, 1))))
+                 for _ in range(n)]
+    else:  # near_overflow: some, or all, policies overflow to inf or NaN
+        steps = [StepModel(rng.uniform(0.2, 1.0),
+                           *costs(lambda: rng.choice([0.0, rng.uniform(1e306, 1.7e308)])))
+                 for _ in range(n)]
+    return TaskPlan(steps)
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "zero_cost", "sure_steps", "unit_costs", "near_overflow"]
+)
+def test_tree_walk_equals_product_loop(kind):
+    """Brute force by the policy-tree walk returns the policy, the bits of its
+    value and the count that pricing every policy alone returns: 105 plans of
+    each kind, N = 1..6 and every 21st at N = 7 (its 5040 policies priced
+    alone take ~50 ms), both flags."""
+    rng = random.Random(kind)
+    overflowed = 0
+    for k in range(105):
+        plan = _walk_plans(kind, rng, 7 if k % 21 == 20 else 1 + k % 6)
+        flag = (k // 6) % 2 == 1
+        want_policy, want_value, want_count = product_enumerate(plan, flag)
+        if want_policy is None:
+            overflowed += 1
+            with pytest.raises(PlanOverflowError):
+                enumerate_policies(plan, flag)
+            continue
+        got = enumerate_policies(plan, flag)
+        assert got.best_policy.next_ckpt == want_policy, (kind, k)
+        assert repr(got.best_value) == repr(want_value), (kind, k)
+        assert got.evaluated == want_count == math.factorial(plan.n)
+    assert (overflowed > 0) == (kind == "near_overflow")
+
+
+def test_enumerate_prices_every_policy_at_the_cap():
+    n = DEFAULT_ENUM_CAP
+    plan = TaskPlan.uniform(n, 0.8, t_confirm=1.0, t_diagnose=2.0, t_redo=0.5)
+    assert enumerate_policies(plan).evaluated == math.factorial(n)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("step", [
+    StepModel(0.5, t_confirm=1e308),
+    StepModel(1e-308, t_confirm=1.0),
+    StepModel(0.9, 1e308, 1e308, 1e308, 1e308),
+])
+def test_enumerate_overflow_is_a_typed_error(step, flag):
+    with pytest.raises(PlanOverflowError):
+        enumerate_policies(TaskPlan([step] * 3), flag)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,12 @@ from ckptsched import (
     solver,
 )
 
-from oracles import interval_cost, iterate_to_fixed_point, linear_policy_values
+from oracles import (
+    interval_cost,
+    iterate_to_fixed_point,
+    linear_policy_values,
+    list_policy_values,
+)
 
 # Optimal values for the five-step example (p = [.7, .7, .9, .85, .85], unit
 # costs), frozen from a dense linear solve over exhaustively enumerated
@@ -334,6 +339,51 @@ def test_evaluate_policy_matches_linear_system(flag):
         got = evaluate_policy(plan, policy, flag)
         want = linear_policy_values(plan, policy, flag)
         assert np.allclose(got, want, rtol=1e-9)
+
+
+def _mixed_policy(rng: random.Random, n: int) -> Policy:
+    """Rows of both kernel bodies in a random order: each row is long (at
+    least ROW_CUT cells) with probability 0.4 where the plan leaves room."""
+    cut = solver.ROW_CUT
+    return Policy(
+        rng.randint(i + cut, n) if i + cut <= n and rng.random() < 0.4
+        else rng.randint(i + 1, min(n, i + cut - 1))
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("n", [solver.ROW_CUT - 1, solver.ROW_CUT,
+                               solver.ROW_CUT + 1, 2 * solver.ROW_CUT + 5])
+def test_evaluate_policy_equals_list_pass_bit_for_bit(n, flag):
+    """Long rows read V from one shared array, short rows from the list; the
+    values are those of a pass that hands every row the list."""
+    rng = random.Random(n)
+    for k in range(12):
+        plan = TaskPlan(
+            StepModel(1.0 if k % 3 == 2 else rng.uniform(0.5, 1.0),
+                      *(rng.uniform(0, 10) for _ in range(4)))
+            for _ in range(n)
+        )
+        policies = [Policy.end_only(n), Policy.every_step(n)]
+        policies += [_mixed_policy(rng, n) for _ in range(4)]
+        for policy in policies:
+            got = evaluate_policy(plan, policy, flag)
+            want = np.array(list_policy_values(plan, policy.next_ckpt, flag))
+            assert got.tobytes() == want.tobytes(), (k, policy.next_ckpt)
+
+
+def test_short_rows_never_build_the_array(monkeypatch):
+    plan = TaskPlan.uniform(200, 0.9, t_confirm=1.0, t_redo=1.0)
+    solved = solve(plan)
+    policy = solved.policy
+    assert max(j - i for i, j in enumerate(policy.next_ckpt)) < solver.ROW_CUT
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("short rows built an array")
+
+    monkeypatch.setattr(np, "empty", no_array)
+    assert evaluate_policy(plan, policy).tobytes() == solved.value.tobytes()
 
 
 def test_self_consistency_is_exact(fig4_plan):
