@@ -34,7 +34,7 @@ from .core import (
     plan_columns,
     validate_plan,
 )
-from .solver import _Columns, _row_costs
+from .solver import _Columns, _row_costs, _row_min
 
 DEFAULT_ENUM_CAP = 8
 
@@ -481,15 +481,9 @@ def enumerate_policies(
         # The walk varies next_ckpt[0] fastest, not next_ckpt[N-1], so an
         # equal v0 from another node is settled by comparing the vectors.
         evaluated += n
-        node_value = math.inf
-        node_j = 0
-        for j, a_0j in enumerate(row, 1):
-            v0 = a_0j / p[0]
-            if v0 < node_value:  # NaN never wins
-                node_value = v0
-                node_j = j
-        if node_j:
-            candidate = (node_j, *next_ckpt[1:])
+        node_value, offset = _row_min(row, p[0])
+        if offset >= 0:
+            candidate = (offset + 1, *next_ckpt[1:])
             if node_value < best_value or (
                 node_value == best_value and candidate < best
             ):
