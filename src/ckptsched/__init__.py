@@ -28,6 +28,7 @@ from .oracle import (
     MonteCarloSummary,
     PlanTooLargeError,
     SimTrace,
+    SimulationBudgetError,
     TraceEvent,
     enumerate_policies,
     format_trace,
@@ -73,6 +74,7 @@ __all__ = [
     "Policy",
     "Scenario",
     "SimTrace",
+    "SimulationBudgetError",
     "SolveResult",
     "StepModel",
     "TaskPlan",

@@ -13,10 +13,18 @@ check them.
 Randomness: run r of master seed s reads its own disjoint window of a
 counter-based uniform stream, so any single run is reproducible in isolation
 and results do not depend on execution order. That is what lets Monte Carlo
-advance all runs together in numpy (``_lockstep_runs``) with the same bits as
+advance many runs together in numpy (``_lockstep_runs``) with the same bits as
 the scalar state machine (``_run_cdcr``), which traces and forced runs use.
-Agent forward-execution time is never charged (cost is user interaction time);
-execute events are logged with zero duration for trace readability.
+The lockstep pool keeps only live runs: a lane whose run ends takes the next
+run, or retires once none is left, and the live lanes are packed to the
+front. Agent forward-execution time is never charged (cost is user
+interaction time); execute events are logged with zero duration for trace
+readability.
+
+Size limits: a run's expected cycle count is the sum over steps of
+(1 - p)/p under every policy, so the work a simulation asks for is bounded
+before it starts (MAX_EXPECTED_DRAWS, MAX_EXPECTED_PASSES,
+MAX_EXPECTED_EVENTS) and refused with SimulationBudgetError above them.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    InvalidPlanError,
     PlanOverflowError,
     Policy,
     TaskPlan,
@@ -41,6 +50,18 @@ DEFAULT_ENUM_CAP = 8
 # Lane pool of the lockstep Monte Carlo: lanes x N stays near this many cells,
 # so its working set is fixed whatever the run count.
 _LANE_CELLS = 16384
+
+# Simulation size limits. A run's expected cycle count has a closed form
+# (_expected_cycles), so the work a call asks for is bounded before any draw:
+# a Monte Carlo call's step outcomes drawn and lockstep passes, and a trace's
+# events. A pass costs 20-100 us and a drawn cell tens of ns, so either limit
+# is about ten seconds; criterion 3's 10**6-run fig4 calls expect 1.2e7 draws
+# in 2.0e3 passes. MAX_PASSES is a hard cap on passes (and on a trace's
+# cycles) for runs far above their mean.
+MAX_EXPECTED_DRAWS = 2 * 10**8
+MAX_EXPECTED_PASSES = 10**5
+MAX_EXPECTED_EVENTS = 10**6
+MAX_PASSES = 10**6
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -90,6 +111,10 @@ REDO = "redo"
 
 class PlanTooLargeError(ValueError):
     """Plan exceeds the exhaustive-enumeration cap (policy count is N!)."""
+
+
+class SimulationBudgetError(InvalidPlanError):
+    """Simulating the plan would take more work than the stated limits."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +170,8 @@ def _run_cdcr(
     """Play one run to completion; returns (total user time, cycle count).
 
     ``outcomes(i, j)`` yields the success flags for executing steps i+1..j.
-    Terminates with probability 1 whenever every p_a > 0.
+    Terminates with probability 1 whenever every p_a > 0; raises
+    SimulationBudgetError after MAX_PASSES cycles.
     """
     n = len(p)
     total = 0.0
@@ -171,6 +197,8 @@ def _run_cdcr(
             i = j
         else:
             cycles += 1
+            if cycles > MAX_PASSES:
+                raise _pass_cap_error()
             m = first_fail
             for k in range(i + 1, m + 1):
                 total += td[k - 1]
@@ -222,9 +250,15 @@ _U64_MIX_A = np.uint64(_MIX_A)
 _U64_MIX_B = np.uint64(_MIX_B)
 
 
-def _run_states(base: int, runs: np.ndarray) -> np.ndarray:
-    """Start counters of the given runs: RunStream's, as a uint64 array."""
-    return np.uint64(base) + (runs.astype(np.uint64) << np.uint64(32)) * _U64_GOLDEN
+def _run_states(
+    base: int, runs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Start counters of the given runs (an intp array of run indices >= 0):
+    RunStream's, as a uint64 array, written to ``out`` if given."""
+    out = np.left_shift(runs.view(np.uint64), np.uint64(32), out=out)
+    out *= _U64_GOLDEN
+    out += np.uint64(base)
+    return out
 
 
 def _draw_bits(
@@ -246,6 +280,48 @@ def _draw_bits(
     return out
 
 
+def _expected_cycles(p: Sequence[float]) -> float:
+    """Expected cycles of one run under every policy: the sum of (1 - p)/p.
+
+    A cycle corrects the first wrong step m of an interval. The verified
+    state never moves back (a failed confirm resumes at m - 1, at or past the
+    interval's start), so step m is first wrong only while the verified state
+    is m - 1, and from there it is executed until it succeeds.
+    """
+    return math.fsum((1.0 - p_m) / p_m for p_m in p)
+
+
+def _check_budget(p: Sequence[float], runs: int, lanes: int) -> None:
+    """Raise SimulationBudgetError if ``runs`` runs on a pool of ``lanes``
+    are expected to draw more than MAX_EXPECTED_DRAWS step outcomes or to
+    take more than MAX_EXPECTED_PASSES passes.
+
+    The bounds: the successful intervals of a run execute the N steps once
+    each, and a failed one at most N steps, so a run draws at most
+    N * (1 + cycles). It plays at most N successful intervals plus its
+    cycles; each lane plays about ceil(runs / lanes) runs in turn, and the
+    last of them waits for the slowest run, about ln(lanes) run lengths.
+    """
+    n = len(p)
+    cycles = _expected_cycles(p)
+    draws = runs * n * (1.0 + cycles)
+    passes = (-(-runs // lanes) + math.log(lanes)) * (n + cycles)
+    if draws > MAX_EXPECTED_DRAWS or passes > MAX_EXPECTED_PASSES:
+        raise SimulationBudgetError(
+            f"{runs} runs of a {n}-step plan with {cycles:.6g} expected cycles "
+            f"per run would draw about {draws:.3g} step outcomes in "
+            f"{passes:.3g} passes; the limits are {MAX_EXPECTED_DRAWS:.0e} "
+            f"and {MAX_EXPECTED_PASSES:.0e}"
+        )
+
+
+def _pass_cap_error() -> SimulationBudgetError:
+    return SimulationBudgetError(
+        f"runs took more than {MAX_PASSES:.0e} confirm intervals, far above "
+        "their expected number"
+    )
+
+
 def _lockstep_runs(
     p: Sequence[float],
     tc: Sequence[float],
@@ -260,91 +336,158 @@ def _lockstep_runs(
     """Totals and cycle counts of runs 0..runs-1, as float64 arrays.
 
     Run r's entries are bit-identical to ``_run_cdcr`` over
-    ``_sampled_outcomes(p, RunStream(seed, r))``. A fixed pool of lanes each
-    holds one run, and each pass plays one confirm interval on every lane.
-    Costs are added one at a time in the scalar order; a lane with nothing to
-    add at that position adds 0.0, which leaves a total >= 0 unchanged. A
-    lane whose run finishes writes the run's slot and takes the next run, or
-    idles once none is left. Every array a pass touches keeps the pool's
-    size, so memory beyond the two outputs stays fixed whatever ``runs`` is.
+    ``_sampled_outcomes(p, RunStream(seed, r))``. A pool of lanes each holds
+    one run, and each pass plays one confirm interval on every live lane.
+    The live lanes are the prefix [0, k) of the lane arrays. A lane whose run
+    finishes writes the run's slot and takes the next run; once none is left
+    it retires and the live lanes are packed to the front, so no pass works
+    on an idle lane. Costs are added one at a time in the scalar order, each
+    masked to the lanes that have a cost at that position. Every array a pass
+    writes is a view of a buffer allocated once per call and sliced to the k
+    live lanes; a pass allocates only the index lists of the lanes that
+    finished and _draw_bits' step increments (at most N entries). So memory
+    beyond the two outputs stays fixed whatever ``runs`` is.
+
+    Raises SimulationBudgetError before any draw if the expected work is
+    above the stated limits, and after MAX_PASSES passes.
     """
-    base = _stream_base(seed)
     n = len(p)
+    lanes = min(runs, max(1, _LANE_CELLS // n))
+    _check_budget(p, runs, lanes)
+    base = _stream_base(seed)
     nxt = np.asarray(next_ckpt, dtype=np.intp)
     # A draw b * 2**-53 < p exactly when b < ceil(p * 2**53) (scaling by a
     # power of two is exact), so step outcomes compare integers. Indices
     # i + offset reach 2n - 2; the padding threshold 2**53 never fails.
     threshold = np.full(2 * n, 2**53, dtype=np.uint64)
     threshold[:n] = np.ceil(np.asarray(p) * 2.0**53)
-    tc_a = np.asarray(tc, dtype=float)
+    # Per-step costs by the index a pass reads them at, padded with zeros so
+    # that every index a pass forms is in range.
+    tc_at = np.zeros(n + 1)  # t_confirm of state j at j
+    tc_at[1:] = tc
+    tcor_at = np.zeros(n + 1)  # t_correct of step m at m - 1
+    tcor_at[:n] = tcor
     td_pad = np.zeros(2 * n)
     td_pad[:n] = td
     tr_pad = np.zeros(2 * n)
     tr_pad[:n] = tr
-    tcor_a = np.asarray(tcor, dtype=float)
     offsets = np.arange(n)
+    lane_ids = np.arange(lanes)
 
     totals = np.empty(runs)
     cycle_counts = np.empty(runs)
-    lanes = min(runs, max(1, _LANE_CELLS // n))
-    # One confirm interval's draws for every lane: at most lanes x n cells.
+    # One confirm interval's cells for every live lane, at most lanes x n:
+    # its draws, then the diagnose or redo costs of each offset.
     bits = np.empty(lanes * n, dtype=np.uint64)
     spare = np.empty(lanes * n, dtype=np.uint64)
     index = np.empty(lanes * n, dtype=np.intp)
     fail_buf = np.empty(lanes * n, dtype=bool)
-    inside_buf = np.empty(lanes * n, dtype=bool)
-
-    lane_ids = np.arange(lanes)
-    run = np.arange(lanes)  # -1 marks an idle lane
+    costs_buf = np.empty(lanes * n)
+    # The lanes' runs; lane l < k is live.
+    run = lane_ids.copy()
     state = _run_states(base, run)
     i = np.zeros(lanes, dtype=np.intp)
     total = np.zeros(lanes)
-    cycles = np.zeros(lanes, dtype=np.intp)
-    next_run = live = lanes
-    while live > 0:
-        j = nxt[i]
-        width = j - i
-        w_max = int(width.max())
-        shape = (lanes, w_max)
-        cells = lanes * w_max
-        cols = offsets[:w_max]
-        drawn = _draw_bits(state, w_max, bits[:cells].reshape(shape), spare[:cells].reshape(shape))
-        steps = np.add(i[:, None], cols, out=index[:cells].reshape(shape))
-        limit = np.take(threshold, steps, out=spare[:cells].reshape(shape))
-        fail = np.greater_equal(drawn, limit, out=fail_buf[:cells].reshape(shape))
-        fail &= np.less(cols, width[:, None], out=inside_buf[:cells].reshape(shape))
-        state += width.astype(np.uint64) * _U64_GOLDEN
-        total += tc_a[j - 1]
+    cycles = np.zeros(lanes)
+    # Work arrays of one pass, one entry per lane.
+    j_buf, width_buf, first_buf, at_buf, count_buf = (
+        np.empty(lanes, dtype=np.intp) for _ in range(5)
+    )
+    failed_buf = np.empty(lanes, dtype=bool)
+    mask_buf = np.empty(lanes, dtype=bool)
+    u64_buf = np.empty(lanes, dtype=np.uint64)
+    cost_buf = np.empty(lanes)
 
-        # A failed confirm: diagnose i+1..m, correct m, redo m..j, resume at m-1.
-        first = fail.argmax(axis=1)
-        failed = fail[lane_ids, first]
-        m = i + first + 1
-        diag = np.where(failed, first + 1, 0)
-        for off in range(int(diag.max())):
-            total += np.where(off < diag, td_pad[i + off], 0.0)
-        if include_correct_cost:
-            total += np.where(failed, tcor_a[m - 1], 0.0)
-        redo = np.where(failed, width - first, 0)
-        for off in range(int(redo.max())):
-            total += np.where(off < redo, tr_pad[m - 1 + off], 0.0)
-        cycles += failed
-        i = np.where(failed, m - 1, j)
+    # Every take and put below has mode="clip": its indices are always in
+    # range, and the default mode="raise" would copy its output on each call.
+    def add_in_order(total_k, costs, start, count):
+        """total_k += costs[start + off] for each offset off < count, lane by
+        lane, one offset after the other (count <= the pass's widest
+        interval, so the cells fit the buffers)."""
+        rows = int(count.max())
+        if not rows:
+            return
+        shape = (rows, len(start))
+        cells = rows * len(start)
+        at = np.add(offsets[:rows, None], start, out=index[:cells].reshape(shape))
+        row_costs = np.take(costs, at, out=costs_buf[:cells].reshape(shape), mode="clip")
+        row_costs *= np.less(offsets[:rows, None], count, out=fail_buf[:cells].reshape(shape))
+        for row in row_costs:
+            total_k += row
 
-        finished = ~failed & (j == n)
-        done = np.flatnonzero(finished & (run >= 0))
-        if done.size:
-            totals[run[done]] = total[done]
-            cycle_counts[run[done]] = cycles[done]
-            refill = done[: runs - next_run]
-            live -= done.size - refill.size
-            run[done] = -1
-            run[refill] = np.arange(next_run, next_run + refill.size)
-            state[refill] = _run_states(base, run[refill])
-            next_run += refill.size
-        i[finished] = 0
-        total[finished] = 0.0
-        cycles[finished] = 0
+    k = next_run = lanes
+    passes = 0
+    with np.errstate(all="ignore"):
+        while k:
+            passes += 1
+            if passes > MAX_PASSES:
+                raise _pass_cap_error()
+            i_k, total_k, cycles_k = i[:k], total[:k], cycles[:k]
+            cost, mask = cost_buf[:k], mask_buf[:k]
+            j = np.take(nxt, i_k, out=j_buf[:k], mode="clip")
+            width = np.subtract(j, i_k, out=width_buf[:k])
+            w_max = int(width.max())
+            shape = (k, w_max)
+            cells = k * w_max
+            drawn = _draw_bits(state[:k], w_max, bits[:cells].reshape(shape), spare[:cells].reshape(shape))
+            steps = np.add(i_k[:, None], offsets[:w_max], out=index[:cells].reshape(shape))
+            limit = np.take(threshold, steps, out=spare[:cells].reshape(shape), mode="clip")
+            fail = np.greater_equal(drawn, limit, out=fail_buf[:cells].reshape(shape))
+            # A lane's interval failed if its first failed draw, which may lie
+            # past the interval's end or not exist (argmax 0), is inside it.
+            first = np.argmax(fail, axis=1, out=first_buf[:k])
+            at = np.multiply(lane_ids[:k], w_max, out=at_buf[:k])
+            at += first
+            failed = np.take(fail_buf, at, out=failed_buf[:k], mode="clip")
+            failed &= np.less(first, width, out=mask)
+            state_k = state[:k]
+            state_k += np.multiply(width.view(np.uint64), _U64_GOLDEN, out=u64_buf[:k])  # width >= 1
+            total_k += np.take(tc_at, j, out=cost, mode="clip")
+
+            # A failed confirm: diagnose i+1..m, correct m, redo m..j, resume
+            # at m-1. A masked-out cost is 0.0 or -0.0, and adding it leaves a
+            # total >= 0 unchanged.
+            count = np.add(first, 1, out=count_buf[:k])  # states diagnosed
+            count *= failed
+            add_in_order(total_k, td_pad, i_k, count)
+            np.subtract(width, first, out=count)  # steps redone
+            count *= failed
+            back = np.subtract(j, count, out=i_k)  # m - 1 if failed, else j
+            if include_correct_cost:
+                np.take(tcor_at, back, out=cost, mode="clip")
+                cost *= failed
+                total_k += cost
+            add_in_order(total_k, tr_pad, back, count)
+            cycles_k += failed
+
+            done = np.flatnonzero(np.equal(i_k, n, out=mask))
+            if not done.size:
+                continue
+            d = done.size
+            slots = np.take(run, done, out=count_buf[:d], mode="clip")
+            np.put(totals, slots, np.take(total, done, out=cost_buf[:d], mode="clip"), mode="clip")
+            np.put(cycle_counts, slots, np.take(cycles, done, out=cost_buf[:d], mode="clip"), mode="clip")
+            np.put(i, done, 0, mode="clip")
+            np.put(total, done, 0.0, mode="clip")
+            np.put(cycles, done, 0.0, mode="clip")
+            fresh = min(d, runs - next_run)
+            refill = done[:fresh]
+            new_runs = np.add(lane_ids[:fresh], next_run, out=count_buf[:fresh])
+            np.put(run, refill, new_runs, mode="clip")
+            np.put(state, refill, _run_states(base, new_runs, u64_buf[:fresh]), mode="clip")
+            next_run += fresh
+            if fresh < d:
+                # No run is left for the other finished lanes: retire them and
+                # pack the live lanes, in order, to the front.
+                np.logical_not(mask, out=mask)
+                np.put(mask, refill, True, mode="clip")
+                keep = np.flatnonzero(mask)
+                k = keep.size
+                for lane_array, scratch in (
+                    (run, j_buf), (i, j_buf), (state, u64_buf),
+                    (total, cost_buf), (cycles, cost_buf),
+                ):
+                    lane_array[:k] = np.take(lane_array, keep, out=scratch[:k], mode="clip")
     return totals, cycle_counts
 
 
@@ -359,6 +502,8 @@ def _trace_from(
     total, cycles = _run_cdcr(
         *cols, policy.next_ckpt, outcomes, include_correct_cost, events
     )
+    if not math.isfinite(total):
+        raise PlanOverflowError("total user time of the run is not a finite float64")
     return SimTrace(events=tuple(events), total_user_time=total, cycles=cycles)
 
 
@@ -371,10 +516,21 @@ def simulate_run(
     """Sample one full run and log every event.
 
     Identical to run index 0 of monte_carlo() with the same master seed.
+    Raises SimulationBudgetError if the run is expected to log more than
+    MAX_EXPECTED_EVENTS events: an interval logs at most N + 1 events, and a
+    cycle at most N + 2 more, so a run logs at most (2N + 3)(1 + cycles).
+    Raises PlanOverflowError if the total is not a finite float64.
     """
     validate_plan(plan)
     policy.validate_for(plan.n)
-    outcomes = _sampled_outcomes([s.p_a for s in plan.steps], RunStream(seed, 0))
+    p = [s.p_a for s in plan.steps]
+    events = (2 * plan.n + 3) * (1.0 + _expected_cycles(p))
+    if events > MAX_EXPECTED_EVENTS:
+        raise SimulationBudgetError(
+            f"a trace of this {plan.n}-step plan would log about {events:.3g} "
+            f"events; the limit is {MAX_EXPECTED_EVENTS:.0e}"
+        )
+    outcomes = _sampled_outcomes(p, RunStream(seed, 0))
     return _trace_from(plan, policy, outcomes, include_correct_cost)
 
 
@@ -388,7 +544,8 @@ def simulate_run_forced(
 
     Conditioning is by outcome forcing, not rejection: ``fail_step`` fails on
     its first execution and succeeds on the redo, all other steps always
-    succeed. With ``fail_step=None`` the run is error-free.
+    succeed. With ``fail_step=None`` the run is error-free. Raises
+    PlanOverflowError if the total is not a finite float64.
     """
     validate_plan(plan)
     policy.validate_for(plan.n)
@@ -407,6 +564,9 @@ def monte_carlo(
     """Aggregate independent runs; deterministic given (plan, policy, seed).
 
     runs=1 reproduces simulate_run() totals exactly (same child stream).
+    Raises PlanOverflowError if the mean, its standard error or the interval
+    is not a finite float64, and SimulationBudgetError (see _lockstep_runs)
+    if the runs would take more work than the stated limits.
     """
     validate_plan(plan)
     policy.validate_for(plan.n)
@@ -415,17 +575,23 @@ def monte_carlo(
     totals, cycle_counts = _lockstep_runs(
         *plan_columns(plan), policy.next_ckpt, runs, seed, include_correct_cost
     )
-    mean = float(totals.mean())
-    if runs > 1:
-        std_error = float(totals.std(ddof=1)) / math.sqrt(runs)
-    else:
-        std_error = 0.0
+    with np.errstate(all="ignore"):
+        mean = float(totals.mean())
+        if runs > 1:
+            std_error = float(totals.std(ddof=1)) / math.sqrt(runs)
+        else:
+            std_error = 0.0
     half = 1.96 * std_error
+    ci95 = (mean - half, mean + half)
+    if not all(map(math.isfinite, (mean, std_error, *ci95))):
+        raise PlanOverflowError(
+            "mean user time of the runs or its error is not a finite float64"
+        )
     return MonteCarloSummary(
         runs=runs,
         mean_time=mean,
         std_error=std_error,
-        ci95=(mean - half, mean + half),
+        ci95=ci95,
         mean_cycles=float(cycle_counts.mean()),
     )
 

@@ -125,7 +125,8 @@ class SolveResult:
         cols = _Columns(self.plan)
         value = self.value.tolist()
         table = np.full((n, n + 1), np.nan)
-        with _quiet(n):
+        # np.add below overflows on any n, not only in the numpy row body
+        with np.errstate(all="ignore"):
             for i in range(n):
                 a_row = _row_costs(i, n, cols, value, self.include_correct_cost)
                 table[i, i + 1 :] = np.add(a_row, (1.0 - cols.p[i]) * value[i])
@@ -269,14 +270,21 @@ def evaluate_policy(
 
     Same backwards recursion as solve() with the checkpoint pinned to
     policy.next_ckpt[i] per row; dominated by solve()'s values everywhere.
+    Raises PlanOverflowError if a value is not a finite float64.
     """
     validate_plan(plan)
     policy.validate_for(plan.n)
     with _quiet(plan.n):
-        values = _policy_values(
+        values = np.array(_policy_values(
             plan.n, policy.next_ckpt, _Columns(plan), include_correct_cost
+        ))
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise PlanOverflowError(
+            f"expected time from state {int(finite.argmin())} under the policy "
+            "is not a finite float64"
         )
-    return np.array(values)
+    return values
 
 
 def _policy_values(

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import tempfile
+import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -129,14 +131,43 @@ def test_enumerate_cap_env_override(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("command", ["enumerate", "solve"])
-def test_overflowing_config_is_config_error(capsys, tmp_path, command):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["enumerate"], id="enumerate"),
+    pytest.param(["solve"], id="solve"),
+    pytest.param(["eval", "--policy", "end"], id="eval"),
+    pytest.param(["simulate", "--policy", "end", "--runs", "50"], id="simulate-summary"),
+    pytest.param(["simulate", "--policy", "end"], id="simulate-trace"),
+    pytest.param(["compare", "--runs", "50"], id="compare"),
+    pytest.param(["error-loc"], id="error-loc"),
+])
+def test_overflowing_config_is_config_error(capsys, tmp_path, argv):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"name": "huge", "n": 3, "p_a": 0.5, "t_confirm": 1e308}))
-    code, out, err = run(capsys, command, str(path))
+    path.write_text(json.dumps(
+        {"name": "huge", "n": 3, "p_a": 0.5, "t_confirm": 1e308, "t_redo": 1e308}
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == EXIT_CONFIG
     assert "not a finite float64" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "end", "--runs", "2"],
+    ["simulate", "--policy", "end"],
+    ["compare", "--runs", "2"],
+])
+def test_simulation_over_the_work_limits_is_config_error(capsys, tmp_path, argv):
+    """p_a = 1e-6 expects 2e6 cycles per run: refused at once, not run."""
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({"name": "slow", "n": 2, "p_a": 1e-6, "t_confirm": 1}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == EXIT_CONFIG
+    assert "limit" in err
+    assert out == ""
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +441,8 @@ _BAD_COST = st.one_of(
 @st.composite
 def _config_argv(draw) -> tuple[dict, list[str]]:
     """A 1- to 6-step config, uniform or per step, with extreme, zero and
-    (in about one case in four) invalid values, and a solve, eval or
-    enumerate command line for it."""
+    (in about one case in four) invalid values, and a solve, eval,
+    enumerate, simulate or compare command line for it."""
     n = draw(st.integers(1, 6))
     steps = [{"p_a": draw(_P_A), **{k: draw(_COST) for k in _COST_FIELDS}}
              for _ in range(n)]
@@ -423,13 +454,15 @@ def _config_argv(draw) -> tuple[dict, list[str]]:
         config = {"name": "fuzz", "steps": steps}
     else:
         config = {"name": "fuzz", "n": n, **steps[0]}
-    argv = [draw(st.sampled_from(["solve", "eval", "enumerate"]))]
-    if argv[0] == "eval":
+    argv = [draw(st.sampled_from(["solve", "eval", "enumerate", "simulate", "compare"]))]
+    if argv[0] in ("eval", "simulate"):
         explicit = st.lists(st.integers(-1, 7), min_size=1, max_size=7)
         argv.append("--policy=" + draw(st.one_of(
             st.sampled_from(["optimal", "end", "every"]),
             explicit.map(lambda xs: ",".join(map(str, xs))),
         )))
+    if argv[0] in ("simulate", "compare"):
+        argv += ["--runs", str(draw(st.integers(1, 50))), "--seed", str(draw(st.integers(0, 9)))]
     if draw(st.booleans()):
         argv.append("--with-correct-cost")
     return config, argv
@@ -444,10 +477,15 @@ def test_config_files_end_in_a_documented_exit_code(case):
         path = f"{tmp}/fuzz.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)  # writes inf and nan as Infinity and NaN
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = main([argv[0], path, *argv[1:]])
             except SystemExit as exc:
                 code = exc.code
     assert code in {0, 2, 3, 4, 5}
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not caught, [str(w.message) for w in caught]
+        assert "Warning" not in err.getvalue()

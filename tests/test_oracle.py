@@ -3,15 +3,18 @@
 import math
 import random
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ckptsched import (
+    InvalidPlanError,
     PlanOverflowError,
     PlanTooLargeError,
     Policy,
+    SimulationBudgetError,
     StepModel,
     TaskPlan,
     enumerate_policies,
@@ -23,12 +26,14 @@ from ckptsched import (
     simulate_run_forced,
     solve,
 )
+from ckptsched import oracle
 from ckptsched.core import plan_columns
 from ckptsched.oracle import (
     _LANE_CELLS,
     CONFIRM,
     DEFAULT_ENUM_CAP,
     EXECUTE,
+    MAX_EXPECTED_DRAWS,
     RunStream,
     _draw_bits,
     _lockstep_runs,
@@ -226,6 +231,124 @@ def test_lockstep_runs_equal_scalar_runs_around_the_lane_pool_size(n):
         _assert_lockstep_matches_scalar(
             plan, policy, runs, SEEDS[k % 3], include_correct_cost=bool(k % 2)
         )
+
+
+def _record_pass_lanes(monkeypatch) -> list[int]:
+    """The live lane count of every lockstep pass from now on."""
+    lanes = []
+    draw_bits = oracle._draw_bits
+
+    def counting(states, width, out, tmp):
+        lanes.append(len(states))
+        return draw_bits(states, width, out, tmp)
+
+    monkeypatch.setattr(oracle, "_draw_bits", counting)
+    return lanes
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_lockstep_runs_equal_scalar_runs_down_to_one_live_lane(monkeypatch, flag):
+    """One step at p_a = 0.3 over three and a bit waves: the slowest runs end
+    long after the others, so the pool packs down to a single live lane."""
+    plan = TaskPlan([StepModel(0.3, t_confirm=1.25, t_diagnose=0.5, t_correct=3.0, t_redo=0.75)])
+    runs = 3 * _LANE_CELLS + 7
+    lane_counts = _record_pass_lanes(monkeypatch)
+    for seed in SEEDS:
+        lane_counts.clear()
+        _assert_lockstep_matches_scalar(plan, Policy((1,)), runs, seed, flag)
+        assert lane_counts[0] == _LANE_CELLS and lane_counts[-1] == 1
+
+
+def _confirm_intervals(plan, policy, runs, seed):
+    """Confirm intervals played over runs 0..runs-1, counted from the scalar
+    state machine's events."""
+    cols = plan_columns(plan)
+    count = 0
+    for r in range(runs):
+        events = []
+        _run_cdcr(*cols, policy.next_ckpt, _sampled_outcomes(cols[0], RunStream(seed, r)),
+                  False, events)
+        count += sum(e.kind == CONFIRM for e in events)
+    return count
+
+
+@pytest.mark.parametrize("scenario,policy_name", [("fig4", "optimal"), ("shopping", "end")])
+def test_lockstep_pool_plays_no_idle_lane(monkeypatch, scenario, policy_name):
+    """The lanes of all passes sum to the confirm intervals the runs play: a
+    pass never carries a lane whose run has finished."""
+    plan = get_scenario(scenario).plan
+    policy = solve(plan).policy if policy_name == "optimal" else Policy.end_only(plan.n)
+    lanes = _record_pass_lanes(monkeypatch)
+    monte_carlo(plan, policy, runs=5000, seed=7)
+    assert sum(lanes) == _confirm_intervals(plan, policy, 5000, 7)
+
+
+def test_mean_cycles_match_the_closed_form():
+    """Under every policy a run's expected cycle count is the sum over steps
+    of (1 - p)/p: step m is first wrong only from verified state m - 1, and is
+    retried from there until it succeeds. The closed form shares no code with
+    either simulator."""
+    rng = random.Random(20261019)
+    for case in range(40):
+        plan = random_plan(rng, n_lo=1, n_hi=12, p_lo=0.4)
+        policy = Policy(rng.randint(i + 1, plan.n) for i in range(plan.n))
+        expected = sum((1.0 - s.p_a) / s.p_a for s in plan.steps)
+        _, cycles = _lockstep_runs(*plan_columns(plan), policy.next_ckpt, 20_000, case, False)
+        std_error = cycles.std(ddof=1) / math.sqrt(cycles.size)
+        assert abs(cycles.mean() - expected) < 4.5 * std_error, case
+
+
+def _slow_plan(p_a):
+    return TaskPlan.uniform(2, p_a, t_confirm=1.0, t_redo=1.0)
+
+
+def test_expected_work_above_the_limits_is_a_typed_error():
+    """A 2-step plan at p_a = 1e-6 expects 2e6 cycles per run; it is refused
+    before any draw instead of running for minutes."""
+    plan = _slow_plan(1e-6)
+    for call in (
+        lambda: monte_carlo(plan, Policy.end_only(2), runs=2, seed=0),
+        lambda: simulate_run(plan, Policy.end_only(2), seed=0),
+        lambda: monte_carlo(get_scenario("fig4").plan, Policy.end_only(5),
+                            runs=MAX_EXPECTED_DRAWS // 5, seed=0),
+    ):
+        with pytest.raises(SimulationBudgetError):
+            call()
+    # the limits leave room for criterion 3's calls: 10**6 fig4 runs
+    fig4 = get_scenario("fig4").plan
+    oracle._check_budget([s.p_a for s in fig4.steps], 10**6, _LANE_CELLS // fig4.n)
+    assert issubclass(SimulationBudgetError, InvalidPlanError)  # exit 3
+
+
+def test_runs_far_above_their_mean_hit_the_pass_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_PASSES", 20)
+    plan = _slow_plan(0.01)  # 198 cycles per run expected
+    with pytest.raises(SimulationBudgetError):
+        monte_carlo(plan, Policy.end_only(2), runs=3, seed=0)
+    with pytest.raises(SimulationBudgetError):
+        simulate_run(plan, Policy.end_only(2), seed=0)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_non_finite_totals_are_typed_errors(flag):
+    """Totals past float64 raise PlanOverflowError, as solve does, and no
+    numpy warning is written on the way."""
+    plan = TaskPlan.uniform(3, 0.5, t_confirm=1e308, t_redo=1e308)
+    policy = Policy.end_only(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: monte_carlo(plan, policy, runs=50, seed=0, include_correct_cost=flag),
+            lambda: simulate_run(plan, policy, seed=0, include_correct_cost=flag),
+            lambda: simulate_run_forced(plan, policy, 2, include_correct_cost=flag),
+            lambda: evaluate_policy(plan, policy, include_correct_cost=flag),
+        ):
+            with pytest.raises(PlanOverflowError):
+                call()
+        # finite totals whose sum overflows
+        summed = TaskPlan.uniform(1, 1.0, t_confirm=1e308)
+        with pytest.raises(PlanOverflowError):
+            monte_carlo(summed, Policy.end_only(1), runs=2, seed=0)
 
 
 def test_vector_splitmix_equals_run_stream():

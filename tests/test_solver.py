@@ -115,6 +115,21 @@ def test_solve_overflow_past_the_cut_is_a_typed_error(monkeypatch, plan, cut):
             solve(plan)
 
 
+def test_t_table_overflow_writes_no_warning():
+    """A short plan's table cells may overflow to inf; pricing them is as
+    quiet as the backwards pass that gave the finite values."""
+    plan = TaskPlan([
+        StepModel(0.9, t_diagnose=1e300, t_correct=1.7e308, t_redo=1e307),
+        StepModel(1.0, t_confirm=1.7e308, t_diagnose=1.0, t_correct=1e307, t_redo=1e300),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve(plan)
+        table = result.t_table
+    assert np.isfinite(result.value).all()
+    assert not np.isfinite(table[0, 1:]).all()
+
+
 def test_t_table_shape_and_sentinels(fig4_plan):
     table = solve(fig4_plan).t_table
     assert table.shape == (5, 6)
@@ -326,6 +341,17 @@ def test_end_only_deterministic_unit_confirm():
 def test_evaluate_policy_rejects_bad_policy(fig4_plan):
     with pytest.raises(InvalidPolicyError):
         evaluate_policy(fig4_plan, Policy((1, 2, 3)))
+
+
+@pytest.mark.parametrize("n", [3, solver.ROW_CUT + 2])
+def test_evaluate_policy_overflow_is_a_typed_error(n):
+    """The optimal policy is finite here and end-only is not."""
+    plan = TaskPlan.uniform(n, 0.5, t_confirm=1.0, t_redo=1.5e308 / n)
+    assert np.isfinite(solve(plan).value).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PlanOverflowError, match="under the policy"):
+            evaluate_policy(plan, Policy.end_only(n))
 
 
 @pytest.mark.parametrize("flag", [False, True])
