@@ -54,13 +54,14 @@ _LANE_CELLS = 16384
 # Simulation size limits. A run's expected cycle count has a closed form
 # (_expected_cycles), so the work a call asks for is bounded before any draw:
 # a Monte Carlo call's step outcomes drawn and lockstep passes, and a trace's
-# events. A pass costs 20-100 us and a drawn cell tens of ns, so either limit
-# is about ten seconds; criterion 3's 10**6-run fig4 calls expect 1.2e7 draws
-# in 2.0e3 passes. MAX_PASSES is a hard cap on passes (and on a trace's
-# cycles) for runs far above their mean.
+# events. A pass costs 20-100 us and a drawn cell tens of ns, so either Monte
+# Carlo limit is about ten seconds; criterion 3's 10**6-run fig4 calls expect
+# 1.2e7 draws in 2.0e3 passes. A trace event holds about 170 bytes, so the
+# event limit is about 35 MiB. MAX_PASSES is a hard cap on passes (and on a
+# trace's cycles) for runs far above their mean.
 MAX_EXPECTED_DRAWS = 2 * 10**8
 MAX_EXPECTED_PASSES = 10**5
-MAX_EXPECTED_EVENTS = 10**6
+MAX_EXPECTED_EVENTS = 2 * 10**5
 MAX_PASSES = 10**6
 
 _MASK64 = (1 << 64) - 1
@@ -286,9 +287,10 @@ def _expected_cycles(p: Sequence[float]) -> float:
     A cycle corrects the first wrong step m of an interval. The verified
     state never moves back (a failed confirm resumes at m - 1, at or past the
     interval's start), so step m is first wrong only while the verified state
-    is m - 1, and from there it is executed until it succeeds.
+    is m - 1, and from there it is executed until it succeeds. A sum past
+    float64 is inf (math.fsum would raise OverflowError instead).
     """
-    return math.fsum((1.0 - p_m) / p_m for p_m in p)
+    return sum((1.0 - p_m) / p_m for p_m in p)
 
 
 def _check_budget(p: Sequence[float], runs: int, lanes: int) -> None:

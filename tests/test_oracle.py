@@ -305,15 +305,14 @@ def _slow_plan(p_a):
 def test_expected_work_above_the_limits_is_a_typed_error():
     """A 2-step plan at p_a = 1e-6 expects 2e6 cycles per run; it is refused
     before any draw instead of running for minutes."""
-    plan = _slow_plan(1e-6)
-    for call in (
-        lambda: monte_carlo(plan, Policy.end_only(2), runs=2, seed=0),
-        lambda: simulate_run(plan, Policy.end_only(2), seed=0),
-        lambda: monte_carlo(get_scenario("fig4").plan, Policy.end_only(5),
-                            runs=MAX_EXPECTED_DRAWS // 5, seed=0),
-    ):
+    for plan in (_slow_plan(1e-6), _slow_plan(1e-308)):  # the second sums past float64
         with pytest.raises(SimulationBudgetError):
-            call()
+            monte_carlo(plan, Policy.end_only(2), runs=2, seed=0)
+        with pytest.raises(SimulationBudgetError):
+            simulate_run(plan, Policy.end_only(2), seed=0)
+    with pytest.raises(SimulationBudgetError):
+        monte_carlo(get_scenario("fig4").plan, Policy.end_only(5),
+                    runs=MAX_EXPECTED_DRAWS // 5, seed=0)
     # the limits leave room for criterion 3's calls: 10**6 fig4 runs
     fig4 = get_scenario("fig4").plan
     oracle._check_budget([s.p_a for s in fig4.steps], 10**6, _LANE_CELLS // fig4.n)
