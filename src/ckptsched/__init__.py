@@ -24,6 +24,7 @@ from .core import (
 )
 from .oracle import (
     DEFAULT_ENUM_CAP,
+    MAX_ENUM_CAP,
     EnumerationResult,
     MonteCarloSummary,
     PlanTooLargeError,
@@ -59,6 +60,7 @@ __all__ = [
     "ComparisonReport",
     "ConfigError",
     "DEFAULT_ENUM_CAP",
+    "MAX_ENUM_CAP",
     "EmptyPlanError",
     "EnumerationResult",
     "IndexOutOfRangeError",

@@ -27,6 +27,7 @@ from .core import (
 )
 from .oracle import (
     DEFAULT_ENUM_CAP,
+    MAX_ENUM_CAP,
     PlanTooLargeError,
     enumerate_policies,
     format_trace,
@@ -208,6 +209,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             cap = int(raw)
         except ValueError:
             raise lab.ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
+        if not 1 <= cap <= MAX_ENUM_CAP:
+            raise lab.ConfigError(
+                f"{ENUM_CAP_ENV} must lie in 1..{MAX_ENUM_CAP}, got {cap}"
+            )
     result = enumerate_policies(scenario.plan, args.with_correct_cost, max_n=cap)
     lines = [
         f"scenario: {scenario.name}",
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal user-confirmation checkpoint scheduling for "
         "multi-step agent plans.",
         epilog=f"Environment: {ENUM_CAP_ENV} overrides the enumeration cap "
-        f"(default {DEFAULT_ENUM_CAP}).",
+        f"(default {DEFAULT_ENUM_CAP}, at most {MAX_ENUM_CAP}).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -294,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("enumerate", _cmd_enumerate, "brute-force the optimum over all policies")
 
     p = add("compare", _cmd_compare, "compare optimal vs end-only vs every-step")
-    p.add_argument("--runs", type=_int_at_least(1), default=10_000,
-                   help="Monte Carlo runs per strategy (default 10000)")
+    p.add_argument("--runs", type=_int_at_least(2), default=10_000,
+                   help="Monte Carlo runs per strategy, at least 2 for the "
+                   "95%% interval (default 10000)")
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="master seed (default 0)")
 

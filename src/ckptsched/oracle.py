@@ -47,6 +47,11 @@ from .solver import _Columns, _row_costs, _row_min
 
 DEFAULT_ENUM_CAP = 8
 
+# Hard maximum of the enumeration cap: the walk prices N! leaves in sum over
+# d < N of d! kernel calls, about 0.4 s at N = 9, 2-3 s at N = 10 and ten
+# times that at N = 11.
+MAX_ENUM_CAP = 10
+
 # Lane pool of the lockstep Monte Carlo: lanes x N stays near this many cells,
 # so its working set is fixed whatever the run count.
 _LANE_CELLS = 16384
@@ -606,9 +611,10 @@ def enumerate_policies(
     """Evaluate every total forward policy and return the best.
 
     Policy count is N!, so plans above ``max_n`` raise PlanTooLargeError
-    rather than silently truncating. Ties resolve to the lexicographically
-    smallest next_ckpt vector, and a plan on which no policy has a finite
-    expected time raises PlanOverflowError.
+    rather than silently truncating; ``max_n`` itself must lie in
+    1..MAX_ENUM_CAP (ValueError otherwise). Ties resolve to the
+    lexicographically smallest next_ckpt vector, and a plan on which no
+    policy has a finite expected time raises PlanOverflowError.
 
     The policies are the leaves of a tree walked depth first from state N-1
     down to state 0: a node at state i has next_ckpt[i+1..N-1], and so
@@ -620,6 +626,8 @@ def enumerate_policies(
     sum over d < N of d! kernel calls where pricing each policy alone makes
     N * N!. Every leaf is still priced and counted; nothing is pruned.
     """
+    if not 1 <= max_n <= MAX_ENUM_CAP:
+        raise ValueError(f"max_n must lie in 1..{MAX_ENUM_CAP}, got {max_n}")
     validate_plan(plan)
     n = plan.n
     if n > max_n:

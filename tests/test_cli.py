@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckptsched import MAX_ENUM_CAP
 from ckptsched.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -131,6 +132,25 @@ def test_enumerate_cap_env_override(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("cap", ["0", "-1", str(MAX_ENUM_CAP + 1), "12"])
+def test_enumerate_cap_env_outside_its_range_is_config_error(capsys, monkeypatch, cap):
+    """Above the stated maximum the command is refused at once, not run."""
+    monkeypatch.setenv("CKPTSCHED_ENUM_CAP", cap)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "shopping")
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_CONFIG
+    assert f"must lie in 1..{MAX_ENUM_CAP}" in err
+    assert out == ""
+
+
+def test_enumerate_cap_env_at_the_maximum(capsys, monkeypatch):
+    monkeypatch.setenv("CKPTSCHED_ENUM_CAP", str(MAX_ENUM_CAP))
+    code, out, _ = run(capsys, "enumerate", "fig4")
+    assert code == EXIT_OK
+    assert "evaluated: 120" in out
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["enumerate"], id="enumerate"),
     pytest.param(["solve"], id="solve"),
@@ -193,6 +213,17 @@ def test_compare_byte_identical(capsys, tmp_path):
         run(capsys, "compare", "shopping", "--runs", "300", "--seed", "9",
             "--out", str(path))
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_compare_needs_two_runs(capsys):
+    """One run has no spread, so its 95% interval would read zero width."""
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "fig4", "--runs", "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "must be >= 2, got 1" in capsys.readouterr().err
+    code, out, _ = run(capsys, "compare", "fig4", "--runs", "2")
+    assert code == EXIT_OK
+    assert "strategy,expected_time,mc_mean" in out
 
 
 def test_sweep_csv(capsys, tmp_path):
@@ -438,22 +469,43 @@ _BAD_COST = st.one_of(
 )
 
 
+# uniform plans long enough for rows of both kernel bodies and for solve()'s
+# numpy prefixes, and near-max costs that overflow single cells or sums
+_LONG_N = st.sampled_from([27, 28, 29, 65, 130])
+_NEAR_MAX = st.one_of(
+    st.sampled_from([1e307, 1e308, 1.7976931348623157e308]),
+    st.floats(1e300, 1.7976931348623157e308),
+)
+
+
 @st.composite
 def _config_argv(draw) -> tuple[dict, list[str]]:
-    """A 1- to 6-step config, uniform or per step, with extreme, zero and
-    (in about one case in four) invalid values, and a solve, eval,
-    enumerate, simulate or compare command line for it."""
-    n = draw(st.integers(1, 6))
-    steps = [{"p_a": draw(_P_A), **{k: draw(_COST) for k in _COST_FIELDS}}
-             for _ in range(n)]
-    if draw(st.integers(0, 3)) == 0:
+    """A config and a solve, eval, enumerate, simulate or compare command
+    line for it. The config is a 1- to 6-step one, uniform or per step, with
+    extreme, zero and (in about one case in four) invalid values; a uniform
+    one of 27, 28, 29, 65 or 130 steps with extreme values; or an ordinary
+    plan of either size with one near-max cost."""
+    shape = draw(st.sampled_from(["short", "long", "near-max"]))
+    if shape == "near-max":
+        n = draw(st.one_of(st.integers(1, 6), _LONG_N))
+        steps = [{"p_a": draw(st.floats(0.5, 1.0)),
+                  **{k: draw(st.floats(0.0, 10.0)) for k in _COST_FIELDS}}
+                 for _ in range(n)]
         step = draw(st.sampled_from(steps))
-        key = draw(st.sampled_from(("p_a",) + _COST_FIELDS))
-        step[key] = draw(_BAD_P_A if key == "p_a" else _BAD_COST)
-    if draw(st.booleans()):
+        step[draw(st.sampled_from(_COST_FIELDS))] = draw(_NEAR_MAX)
         config = {"name": "fuzz", "steps": steps}
     else:
-        config = {"name": "fuzz", "n": n, **steps[0]}
+        n = draw(_LONG_N if shape == "long" else st.integers(1, 6))
+        steps = [{"p_a": draw(_P_A), **{k: draw(_COST) for k in _COST_FIELDS}}
+                 for _ in range(n if shape == "short" else 1)]
+        if draw(st.integers(0, 3)) == 0:
+            step = draw(st.sampled_from(steps))
+            key = draw(st.sampled_from(("p_a",) + _COST_FIELDS))
+            step[key] = draw(_BAD_P_A if key == "p_a" else _BAD_COST)
+        if shape == "short" and draw(st.booleans()):
+            config = {"name": "fuzz", "steps": steps}
+        else:
+            config = {"name": "fuzz", "n": n, **steps[0]}
     argv = [draw(st.sampled_from(["solve", "eval", "enumerate", "simulate", "compare"]))]
     if argv[0] in ("eval", "simulate"):
         explicit = st.lists(st.integers(-1, 7), min_size=1, max_size=7)
@@ -486,6 +538,5 @@ def test_config_files_end_in_a_documented_exit_code(case):
                 code = exc.code
     assert code in {0, 2, 3, 4, 5}
     assert "Traceback" not in err.getvalue()
-    if code == 0:
-        assert not caught, [str(w.message) for w in caught]
-        assert "Warning" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert "Warning" not in err.getvalue()

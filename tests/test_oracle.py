@@ -32,6 +32,7 @@ from ckptsched.oracle import (
     _LANE_CELLS,
     CONFIRM,
     DEFAULT_ENUM_CAP,
+    MAX_ENUM_CAP,
     EXECUTE,
     MAX_EXPECTED_DRAWS,
     RunStream,
@@ -496,6 +497,14 @@ def test_enumerate_prices_every_policy_at_the_cap():
     n = DEFAULT_ENUM_CAP
     plan = TaskPlan.uniform(n, 0.8, t_confirm=1.0, t_diagnose=2.0, t_redo=0.5)
     assert enumerate_policies(plan).evaluated == math.factorial(n)
+
+
+@pytest.mark.parametrize("max_n", [0, -1, MAX_ENUM_CAP + 1])
+def test_enumerate_cap_outside_its_range_is_refused(max_n):
+    """The cap is bounded, so no call can ask for hours of enumeration."""
+    plan = TaskPlan.uniform(MAX_ENUM_CAP + 1, 0.8, t_confirm=1.0)
+    with pytest.raises(ValueError, match=f"max_n must lie in 1..{MAX_ENUM_CAP}"):
+        enumerate_policies(plan, max_n=max_n)
 
 
 @pytest.mark.parametrize("flag", [False, True])

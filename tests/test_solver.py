@@ -261,6 +261,156 @@ def test_solve_does_not_build_the_table():
 
 
 # ---------------------------------------------------------------------------
+# solve() stops each row early: exactness, the tight family, work done
+# ---------------------------------------------------------------------------
+
+
+def _tight_steps(rng, n):
+    """n steps ending in a run of p_a = 1 steps with t_redo = 0, the last
+    with t_confirm = 0: for a row that starts before the run, cell N equals
+    lb(i, J) bit for bit at every J in the run, so a row stopped on any
+    weaker bound than lb > best + tau loses cell N where it wins."""
+    tail = rng.randint(1, n)
+    steps = [StepModel(rng.uniform(0.3, 1.0), *(rng.uniform(0, 10) for _ in range(4)))
+             for _ in range(n - tail)]
+    steps += [StepModel(1.0, rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 10), 0.0)
+              for _ in range(tail - 1)]
+    steps.append(StepModel(1.0, 0.0, rng.uniform(0, 10), rng.uniform(0, 10), 0.0))
+    return steps
+
+
+def _stop_rule_plans(rng, n):
+    """Plans whose rows stop early, late or never: random p_a in [0.3, 1],
+    the benchmark's [0.85, 0.999], [0.99, 1] (long numpy prefixes), runs of
+    p_a = 1, zero costs of both signs, uniform plans with exact ties,
+    near-overflow costs and the tight family."""
+    def costs(hi=10.0):
+        return [rng.uniform(0, hi) for _ in range(4)]
+
+    yield [StepModel(rng.uniform(0.3, 1.0), *costs()) for _ in range(n)]
+    yield [StepModel(rng.uniform(0.85, 0.999), *costs()) for _ in range(n)]
+    yield [StepModel(rng.uniform(0.99, 1.0), *costs()) for _ in range(n)]
+    yield [StepModel(1.0 if (k // 5) % 2 else rng.uniform(0.3, 1.0), *costs())
+           for k in range(n)]
+    yield [StepModel(rng.choice([1.0, 0.75, 0.5]),
+                     *(rng.choice([0.0, -0.0, 1.0]) for _ in range(4))) for _ in range(n)]
+    yield [StepModel(1.0)] * n  # every cell 0: all ties
+    yield [StepModel(0.5, 1.0, 1.0, 1.0, 1.0)] * n
+    scale = rng.choice([1e300, 1e306, 1.7e308 / (4 * n)])
+    yield [StepModel(rng.uniform(0.3, 1.0), *costs(scale)) for _ in range(n)]
+    yield _tight_steps(rng, n)
+
+
+def _full_row_pass_overflows(plan, flag):
+    """Whether the backwards pass over whole rows meets a row with no finite
+    candidate, as solve() did before rows stopped early."""
+    n = plan.n
+    cols = solver._Columns(plan)
+    value = [0.0] * (n + 1)
+    with np.errstate(all="ignore"):
+        for i in range(n - 1, -1, -1):
+            value[i], offset = solver._row_min(
+                solver._row_costs(i, n, cols, value, flag), cols.p[i]
+            )
+            if offset < 0:
+                return True
+    return False
+
+
+def _assert_rows_are_whole_row_minima(plan, flag):
+    """solve()'s value[i] and next_ckpt[i] are the minimum and argmin of row
+    i priced out to state N from the returned V, bit for bit."""
+    try:
+        result = solve(plan, flag)
+    except PlanOverflowError:
+        assert _full_row_pass_overflows(plan, flag)
+        return
+    n = plan.n
+    cols = solver._Columns(plan)
+    value = result.value.tolist()
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            best, offset = solver._row_min(
+                solver._row_costs(i, n, cols, value, flag), cols.p[i]
+            )
+            assert (best.hex(), offset) == (
+                value[i].hex(), result.policy.next_ckpt[i] - i - 1
+            ), (n, i)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 27, 28, 29, solver.STREAM_CELLS - 1,
+                               solver.STREAM_CELLS, solver.STREAM_CELLS + 1,
+                               63, 64, 65, 130, 400])
+def test_stopped_rows_equal_whole_rows_bit_for_bit(n, flag):
+    rng = random.Random(n)
+    for steps in _stop_rule_plans(rng, n):
+        _assert_rows_are_whole_row_minima(TaskPlan(steps), flag)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_stop_rule_is_exact_on_the_tight_family(flag):
+    """The family where a later cell meets the bound with equality."""
+    rng = random.Random(600 + flag)
+    for _ in range(150):
+        n = rng.randint(2, 120)
+        _assert_rows_are_whole_row_minima(TaskPlan(_tight_steps(rng, n)), flag)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_stopping_loop_cells_equal_the_scalar_body(flag):
+    """_stream_row keeps its own copy of the cell formula; pin it to
+    _row_costs' scalar body cell by cell. V[j] is set to make cell j just
+    below every earlier cell of row i cut at j, so the loop's best is that
+    cell over p_next, and its low bits still carry every term."""
+    rng = random.Random(41)
+    for k in range(6):
+        steps = [StepModel(1.0 if k % 2 else rng.uniform(0.6, 1.0),
+                           *(rng.uniform(0, 10) for _ in range(4))) for _ in range(10)]
+        for j in range(1, len(steps) + 1):
+            cols = solver._Columns(TaskPlan(steps[:j]))
+            for i in range(j):
+                value = [rng.uniform(0, 50) for _ in range(j)] + [0.0]
+                cells = solver._row_costs(i, j, cols, value, flag)
+                lower = max(0.0, cells[-1] - min(cells[:-1], default=cells[-1])) + 1.0
+                value[j] = -lower / math.prod(cols.p[i:j])
+                cells = solver._row_costs(i, j, cols, value, flag)
+                assert all(c > cells[-1] for c in cells[:-1])
+                best, offset, need = solver._stream_row(i, j, cols, value, flag, math.inf)
+                assert (best.hex(), offset, need) == (
+                    (cells[-1] / cols.p[i]).hex(), j - i - 1, j - i
+                )
+
+
+def test_solve_prices_a_bounded_number_of_cells(monkeypatch):
+    """A deterministic guard against rows sliding back to full length: on a
+    1000-step plan with p in [0.85, 0.999] a row stops after about 30 cells,
+    where whole rows average 500."""
+    rng = random.Random(1000)
+    n = 1000
+    plan = TaskPlan(StepModel(rng.uniform(0.85, 0.999), *(rng.uniform(0, 10) for _ in range(4)))
+                    for _ in range(n))
+    cells = 0
+    stream_row, long_row_costs = solver._stream_row, solver._long_row_costs
+
+    def counting_stream_row(i, upto, *args):
+        nonlocal cells
+        row = stream_row(i, upto, *args)
+        cells += upto - i if row is None else row[2]
+        return row
+
+    def counting_long_row_costs(i, upto, *args):
+        nonlocal cells
+        cells += upto - i
+        return long_row_costs(i, upto, *args)
+
+    monkeypatch.setattr(solver, "_stream_row", counting_stream_row)
+    monkeypatch.setattr(solver, "_long_row_costs", counting_long_row_costs)
+    solve(plan)
+    assert n <= cells <= 64 * n
+
+
+# ---------------------------------------------------------------------------
 # interval_cost() (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
