@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from . import scenarios as lab
 from .core import (
@@ -34,7 +34,7 @@ from .oracle import (
     monte_carlo,
     simulate_run,
 )
-from .solver import SolveResult, evaluate_policy, solve
+from .solver import SolveResult, evaluate_policy, solve, table_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,16 +86,17 @@ def _parse_values(text: str) -> list[float]:
     return values
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, else a usage error (exit 2)."""
+def _int_in(low: int, high: float = math.inf):
+    """argparse type: an integer in low..high, else a usage error (exit 2)."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if not low <= value <= high:
+            bound = f">= {low}" if value < low else f"<= {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     return parse
@@ -128,40 +129,54 @@ def _format_policy(policy: Policy) -> str:
     return " ".join(f"{i}>{j}" for i, j in enumerate(policy.next_ckpt))
 
 
-def format_solve_output(name: str, result: SolveResult, precision: int) -> str:
-    """V, next_ckpt, and the expected-time table laid out with start states
-    as rows, checkpoint states as columns, and the row best starred."""
-    table = result.t_table
-    n = table.shape[0]
+def format_solve_output(scenario: lab.Scenario, result: SolveResult, precision: int, out: TextIO) -> None:
+    """Write V, next_ckpt, and the expected-time table laid out with start
+    states as rows, checkpoint states as columns, and the row best starred.
+
+    The table is streamed from table_rows twice, and each line is written
+    as soon as it is made. The first pass finds the column width, that of
+    the widest cell. A correctly rounded fixed-point string never gets
+    shorter as |x| grows on either side of zero, so a row's widest finite
+    cell is its largest or its smallest (a tiny negative one prints as
+    -0.00). No cell is -0.0, which would tie with 0.0 in min and hide its
+    sign: a sum is -0.0 only when both its terms are, and the last term of
+    a cell's a(i, j), the redo tail, never is (see _long_row_costs).
+    """
+    import numpy as np  # only the table needs numpy here
+
+    plan = scenario.plan
     lines = [
-        f"scenario: {name}",
+        f"scenario: {scenario.name}",
         f"include_correct_cost: {str(result.include_correct_cost).lower()}",
         "V: " + " ".join(f"{v:.{precision}f}" for v in result.value),
         "next_ckpt: " + _format_policy(result.policy),
         "success path: " + ">".join(str(j) for j in result.policy.success_path()),
     ]
-    cells = {}
-    width = len(f"{n}")
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            mark = "*" if j == result.policy.next_ckpt[i] else " "
-            cells[i, j] = f"{table[i, j]:.{precision}f}{mark}"
-            width = max(width, len(cells[i, j]))
-    header = "start\\ckpt |" + "".join(f" {j:>{width}}" for j in range(1, n + 1))
-    lines.append(header)
-    lines.append("-" * len(header))
-    for i in range(n):
-        row = [f"{i:>10} |"]
-        for j in range(1, n + 1):
-            row.append(f" {cells.get((i, j), ''):>{width}}")
-        lines.append("".join(row).rstrip())
-    return "\n".join(lines) + "\n"
+    width = len(f"{plan.n}")  # the widest cell, with its mark
+    for row in table_rows(plan, result):
+        finite = row[np.isfinite(row)]
+        edge = [finite.min(), finite.max()] if finite.size else []
+        if finite.size < row.size:  # inf and nan print in 3 characters, -inf in 4
+            edge.append(-math.inf if (row == -math.inf).any() else math.inf)
+        width = max([width] + [len(f"{x:.{precision}f}") + 1 for x in edge])
+    header = "start\\ckpt |" + "".join(f" {j:>{width}}" for j in range(1, plan.n + 1))
+    out.write("\n".join(lines + [header, "-" * len(header)]) + "\n")
+    cell = f" {{:>{width - 1}.{precision}f}} "  # its last space is the mark, * at the best
+    for i, row in enumerate(table_rows(plan, result)):
+        k = result.policy.next_ckpt[i] - i - 1
+        cells = (cell * k + cell[:-1] + "*" + cell * (len(row) - k - 1)).format(*row.tolist())
+        out.write(f"{i:>10} |" + " " * (width + 1) * i + cells.rstrip() + "\n")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.input)
     result = solve(scenario.plan, args.with_correct_cost)
-    _emit(format_solve_output(scenario.name, result, args.precision), args.out)
+    # --out is opened only once the plan has solved, so a failure writes nothing
+    if args.out is None:
+        format_solve_output(scenario, result, args.precision, sys.stdout)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            format_solve_output(scenario, result, args.precision, fh)
     return EXIT_OK
 
 
@@ -232,12 +247,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     header, rows = lab.comparison_csv_rows(report)
     csv_text = lab.render_csv(header, rows)
-    if args.out is not None:
-        _emit(csv_text, args.out)
-        sys.stdout.write(lab.comparison_summary(report))
-    else:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(lab.comparison_summary(report))
+    _emit(csv_text, args.out)
+    sys.stdout.write(lab.comparison_summary(report))
     return EXIT_OK
 
 
@@ -281,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("solve", _cmd_solve, "solve for the optimal checkpoint schedule")
-    p.add_argument("--precision", type=_int_at_least(0), default=2,
-                   help="decimal places in the table (default 2)")
+    p.add_argument("--precision", type=_int_in(0, 20), default=2,
+                   help="decimal places in the table, 0 to 20 (default 2)")
 
     p = add("eval", _cmd_eval, "price a fixed policy analytically")
     p.add_argument("--policy", required=True,
@@ -291,18 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", _cmd_simulate, "sample the confirm/diagnose/correct/redo process")
     p.add_argument("--policy", required=True,
                    help="'optimal', 'end', 'every', or comma-separated next_ckpt list")
-    p.add_argument("--seed", type=_int_at_least(0), default=0,
+    p.add_argument("--seed", type=_int_in(0), default=0,
                    help="master seed (default 0)")
-    p.add_argument("--runs", type=_int_at_least(1), default=1,
+    p.add_argument("--runs", type=_int_in(1), default=1,
                    help="1 prints a full trace, >1 prints a Monte Carlo summary")
 
     add("enumerate", _cmd_enumerate, "brute-force the optimum over all policies")
 
     p = add("compare", _cmd_compare, "compare optimal vs end-only vs every-step")
-    p.add_argument("--runs", type=_int_at_least(2), default=10_000,
+    p.add_argument("--runs", type=_int_in(2), default=10_000,
                    help="Monte Carlo runs per strategy, at least 2 for the "
                    "95%% interval (default 10000)")
-    p.add_argument("--seed", type=_int_at_least(0), default=0,
+    p.add_argument("--seed", type=_int_in(0), default=0,
                    help="master seed (default 0)")
 
     p = add("sweep", _cmd_sweep, "re-solve across one parameter axis")

@@ -31,7 +31,7 @@ term is dropped from the optimization by default, and both variants are
 exposed so that claim can be checked rather than assumed.
 
 One kernel, ``_row_costs``, prices whole rows: for evaluate_policy() (via
-``_policy_values``), for brute force and for the table.
+``_policy_values``), for brute force and for ``table_rows``.
 It streams a row left to right with a running survival product, running
 first-error sums and prefix sums of the diagnose and redo times, so a row
 costs O(upto - i). It has two bodies. Rows shorter than ``ROW_CUT`` run a
@@ -99,19 +99,20 @@ the whole row, so a row that runs to state N is one call as before.
 pins it to ``_row_costs``' cell by cell: folding the two loops into one made
 brute force's 7-cell rows 18-37% slower and the stopped rows 1-10%.
 
-solve() keeps V and the policy only. The (N, N+1) table of T[i, j], which
-takes 8 N (N+1) bytes, is priced on first access to ``SolveResult.t_table``
-from the final V: row i reads only V[i+1..N], so re-pricing it gives every
-cell of the whole row, including those the backwards pass never priced.
+solve() keeps V and the policy only. ``table_rows`` prices the table of
+T[i, j] one whole row at a time from the final V: row i reads only
+V[i+1..N], so re-pricing it gives every cell of the whole row, including
+those the backwards pass never priced, and the 8 N (N+1) bytes of the whole
+table are never held at once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -180,36 +181,40 @@ def _quiet(n: int) -> contextlib.AbstractContextManager:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal values and policy of a plan, with its table on demand.
+    """Optimal values and policy of a plan.
 
     value[i] is the expected user time from verified state i under optimal
     behaviour (value[N] = 0) and policy.next_ckpt[i] the smallest j attaining
-    it. t_table[i][j] is the expected user time from verified state i with
-    the next checkpoint at j, assuming optimal behaviour afterwards; cells
-    with j <= i are NaN. solve() does not build the table, and its
-    backwards pass stops most rows long before state N. The first read
-    prices every row whole from ``value`` through _row_costs, whose cells
-    are those the backwards pass priced where it priced them, bit for bit,
-    and the result keeps the table.
+    it. solve() does not build the table of T[i, j]; table_rows() yields it.
     """
 
     value: np.ndarray
     policy: Policy
     include_correct_cost: bool
-    plan: TaskPlan = field(repr=False)
 
-    @cached_property
-    def t_table(self) -> np.ndarray:
-        n = self.plan.n
-        cols = _Columns(self.plan)
-        value = self.value.tolist()
-        table = np.full((n, n + 1), np.nan)
-        # np.add below overflows on any n, not only in the numpy row body
+
+def table_rows(plan: TaskPlan, result: SolveResult) -> Iterator[np.ndarray]:
+    """T[i, i+1..N] for i = 0..N-1, one float64 array per row.
+
+    T[i, j] is the expected user time from verified state i with the next
+    checkpoint at j, assuming optimal behaviour afterwards. Each row is
+    priced whole from ``result.value`` through _row_costs, whose cells are
+    those the backwards pass priced where it priced them, bit for bit. Cells
+    may overflow to inf, quietly, even where every value is finite.
+    """
+    n = plan.n
+    cols = _Columns(plan)
+    value = result.value.tolist()
+    for i in range(n):
+        v = value if n - i < ROW_CUT else result.value
+        # np.add overflows on any n, not only in the numpy row body; the
+        # errstate closes before each yield, so it never holds in the caller
         with np.errstate(all="ignore"):
-            for i in range(n):
-                a_row = _row_costs(i, n, cols, value, self.include_correct_cost)
-                table[i, i + 1 :] = np.add(a_row, (1.0 - cols.p[i]) * value[i])
-        return table
+            row = np.add(
+                _row_costs(i, n, cols, v, result.include_correct_cost),
+                (1.0 - cols.p[i]) * value[i],
+            )
+        yield row
 
 
 def _row_costs(
@@ -228,7 +233,7 @@ def _row_costs(
     the error branch, which accumulates weighted by q, and then
     ((t_confirm_j + survival * V[j]) + error sum) + (first-error mass) * tr[j],
     with each error's redo tail folded in at the end as that last product.
-    evaluate_policy() and the table price rows through here, and solve()
+    evaluate_policy() and table_rows() price rows through here, and solve()
     through the same cells (its stopping loop and this numpy body), so a
     fixed policy is charged bit-identically to the corresponding cells;
     dominance checks rely on that.
@@ -372,7 +377,6 @@ def solve(plan: TaskPlan, include_correct_cost: bool = False) -> SolveResult:
         value=np.array(value),
         policy=Policy(next_ckpt),
         include_correct_cost=include_correct_cost,
-        plan=plan,
     )
 
 

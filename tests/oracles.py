@@ -4,11 +4,14 @@ Each function recomputes a quantity by a route the library does not take:
 plain product loops for the kernels, a direct double loop over one table
 cell instead of the streamed row kernel, a dense linear solve over a policy's
 state equations instead of the per-row closed form, and sweep-to-convergence
-fixed-point iteration instead of the algebraic fixed point. Two more share
+fixed-point iteration instead of the algebraic fixed point. Three more share
 the row kernel but not its callers' bookkeeping: brute force that prices
 every policy by its own backwards pass instead of walking the policy tree,
-and a policy pass that hands every row V as a list instead of one shared
-array.
+a policy pass that hands every row V as a list instead of one shared array,
+and a dense (N, N+1) table filled cell by cell during a backwards pass over
+whole rows, instead of rows that stop early and a table streamed from the
+final values. The table's reference text formats every cell into a dict
+before it lays out a line.
 """
 
 from __future__ import annotations
@@ -86,6 +89,58 @@ def list_policy_values(
         a_ij = _row_costs(i, next_ckpt[i], cols, value, include_correct_cost)[-1]
         value[i] = a_ij / plan.steps[i].p_a
     return value
+
+
+def eager_table(plan: TaskPlan, include_correct: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Values and table filled cell by cell during the backwards pass; cells
+    with j <= i are NaN."""
+    n = plan.n
+    cols = _Columns(plan)
+    value = [0.0] * (n + 1)
+    table = np.full((n, n + 1), np.nan)
+    for i in range(n - 1, -1, -1):
+        a_row = [float(a) for a in _row_costs(i, n, cols, value, include_correct)]
+        best = min(a / cols.p[i] for a in a_row)
+        value[i] = best
+        for offset, a_ij in enumerate(a_row):
+            table[i, i + 1 + offset] = a_ij + (1.0 - cols.p[i]) * best
+    return np.array(value), table
+
+
+def dense_solve_output(
+    name: str,
+    value: Sequence[float],
+    policy: Policy,
+    include_correct: bool,
+    table: np.ndarray,
+    precision: int,
+) -> str:
+    """The text of `ckptsched solve` from a dense table: every cell is
+    formatted into a dict first, and the column width is the widest of them."""
+    n = table.shape[0]
+    lines = [
+        f"scenario: {name}",
+        f"include_correct_cost: {str(include_correct).lower()}",
+        "V: " + " ".join(f"{v:.{precision}f}" for v in value),
+        "next_ckpt: " + " ".join(f"{i}>{j}" for i, j in enumerate(policy.next_ckpt)),
+        "success path: " + ">".join(str(j) for j in policy.success_path()),
+    ]
+    cells = {}
+    width = len(f"{n}")
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            mark = "*" if j == policy.next_ckpt[i] else " "
+            cells[i, j] = f"{table[i, j]:.{precision}f}{mark}"
+            width = max(width, len(cells[i, j]))
+    header = "start\\ckpt |" + "".join(f" {j:>{width}}" for j in range(1, n + 1))
+    lines.append(header)
+    lines.append("-" * len(header))
+    for i in range(n):
+        row = [f"{i:>10} |"]
+        for j in range(1, n + 1):
+            row.append(f" {cells.get((i, j), ''):>{width}}")
+        lines.append("".join(row).rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def product_enumerate(

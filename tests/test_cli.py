@@ -3,16 +3,19 @@
 import io
 import json
 import math
+import random
 import tempfile
 import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ckptsched import MAX_ENUM_CAP
+from ckptsched import MAX_ENUM_CAP, PlanOverflowError, StepModel, TaskPlan, cli, solve
 from ckptsched.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -21,7 +24,9 @@ from ckptsched.cli import (
     EXIT_USAGE,
     main,
 )
-from ckptsched.scenarios import LOCATIONS, MAX_STEPS, SWEEP_AXES
+from ckptsched.scenarios import LOCATIONS, MAX_STEPS, SWEEP_AXES, fig4_scenario
+
+from oracles import dense_solve_output, eager_table, random_plan
 
 
 def run(capsys, *argv):
@@ -56,6 +61,111 @@ def test_solve_with_correct_cost(capsys):
     assert code == EXIT_OK
     assert "include_correct_cost: true" in out
     assert "8.83" in out
+
+
+def _reference_plans():
+    """fig4, random plans on both sides of the row kernel's cut, zero costs
+    of both signs with cells that round to tiny negatives (printed -0.00),
+    and table cells that overflow to inf."""
+    rng = random.Random(11)
+    yield "fig4", fig4_scenario().plan
+    for n in (1, 27, 28, 29, 300):
+        yield f"random{n}", random_plan(rng, n_lo=n, n_hi=n)
+    yield "signed-zero", TaskPlan(
+        [StepModel(0.7, t_redo=0.1)] + [StepModel(0.7, -0.0, 0.0, -0.0, -0.0)] * 28
+    )
+    yield "overflow", TaskPlan([
+        StepModel(0.9, t_diagnose=1e300, t_correct=1.7e308, t_redo=1e307),
+        StepModel(1.0, t_confirm=1.7e308, t_diagnose=1.0, t_correct=1e307, t_redo=1e300),
+    ])
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("name,plan", [
+    pytest.param(*case, id=case[0]) for case in _reference_plans()
+])
+def test_solve_text_equals_the_dense_reference(capsys, tmp_path, name, plan, flag):
+    """stdout and --out are the text a dense table formatted into a dict of
+    every cell gives, byte for byte; a plan that does not solve prints
+    nothing and writes no file."""
+    path = tmp_path / f"{name}.json"
+    steps = [
+        {"p_a": s.p_a, "t_confirm": s.t_confirm, "t_diagnose": s.t_diagnose,
+         "t_correct": s.t_correct, "t_redo": s.t_redo}
+        for s in plan.steps
+    ]
+    path.write_text(json.dumps({"name": name, "steps": steps}))
+    flags = ["--with-correct-cost"] if flag else []
+    try:
+        policy = solve(plan, flag).policy
+    except PlanOverflowError:
+        policy = None
+    value, table = eager_table(plan, flag)
+    for precision in (0, 2, 6):
+        argv = ["solve", str(path), "--precision", str(precision), *flags]
+        out_path = tmp_path / f"{name}-{precision}.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+            file_code, file_out, _ = run(capsys, *argv, "--out", str(out_path))
+        if policy is None:
+            assert (code, out, file_code, file_out) == (EXIT_CONFIG, "", EXIT_CONFIG, "")
+            assert not out_path.exists()
+            continue
+        want = dense_solve_output(name, value, policy, flag, table, precision)
+        assert (code, err, file_code, file_out) == (EXIT_OK, "", EXIT_OK, "")
+        assert out == want
+        assert out_path.read_text(encoding="utf-8") == want
+    if name == "overflow" and not flag:
+        assert "inf" in out
+
+
+# any float a cell can be: never -0.0 (x + 0.0 turns it into 0.0)
+_CELL = st.one_of(
+    st.floats(), st.sampled_from([-1e-17, 1e-17, 1e308, -1e308, 9.995, -0.005]),
+).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.tuples(*(st.lists(_CELL, min_size=k, max_size=k) for k in range(5, 0, -1))),
+       precision=st.integers(0, 20))
+@example(rows=([1.0, -1e-17, 2.0, 3.0, 4.0], [1.0] * 4, [1.0] * 3, [1.0] * 2, [1.0]),
+         precision=2)
+@example(rows=([1.0, math.inf, math.nan, 3.0, 4.0], [1.0, 2.0, -math.inf, 2.0], [1.0] * 3,
+               [1.0] * 2, [math.nan]), precision=0)
+def test_solve_lays_out_any_cells_as_the_dense_reference(rows, precision):
+    """Column width and cells, from negative, huge and non-finite cells in
+    any row, are the dense reference's."""
+    scenario = fig4_scenario()
+    result = solve(scenario.plan)
+    table = np.full((5, 6), np.nan)
+    for i, row in enumerate(rows):
+        table[i, i + 1 :] = row
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "table_rows", lambda plan, res: (np.array(r) for r in rows))
+        cli.format_solve_output(scenario, result, precision, out)
+    assert out.getvalue() == dense_solve_output(
+        scenario.name, result.value, result.policy, False, table, precision
+    )
+
+
+def test_solve_streams_its_table(tmp_path):
+    """Printing the table of a 1000-step plan takes a small part of the
+    dense table's 8 N (N+1) bytes."""
+    n = 1000
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"name": "long", "n": n, "p_a": 0.95, "t_confirm": 5.0,
+                                "t_diagnose": 2.0, "t_correct": 3.0, "t_redo": 4.0}))
+    table_bytes = 8 * n * (n + 1)
+    tracemalloc.start()
+    try:
+        code = main(["solve", str(path), "--out", str(tmp_path / "long.out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < table_bytes / 8
 
 
 def test_solve_reads_config_file(capsys, tmp_path):
@@ -312,6 +422,7 @@ def test_builtin_name_collision_warns(capsys, tmp_path, monkeypatch):
     ["compare", "fig4", "--runs", "0"],
     ["compare", "fig4", "--seed", "-1"],
     ["error-loc", "shopping", "--runs", "3"],
+    ["solve", "fig4", "--precision", "100000000000"],
 ])
 def test_bad_numeric_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -481,10 +592,12 @@ _NEAR_MAX = st.one_of(
 @st.composite
 def _config_argv(draw) -> tuple[dict, list[str]]:
     """A config and a solve, eval, enumerate, simulate or compare command
-    line for it. The config is a 1- to 6-step one, uniform or per step, with
-    extreme, zero and (in about one case in four) invalid values; a uniform
-    one of 27, 28, 29, 65 or 130 steps with extreme values; or an ordinary
-    plan of either size with one near-max cost."""
+    line for it; solve gets a --precision of 0 to 20, so its table, whose
+    cells may overflow, is printed. The config is a 1- to 6-step one,
+    uniform or per step, with extreme, zero and (in about one case in four)
+    invalid values; a uniform one of 27, 28, 29, 65 or 130 steps with
+    extreme values; or an ordinary plan of either size with one near-max
+    cost."""
     shape = draw(st.sampled_from(["short", "long", "near-max"]))
     if shape == "near-max":
         n = draw(st.one_of(st.integers(1, 6), _LONG_N))
@@ -515,6 +628,8 @@ def _config_argv(draw) -> tuple[dict, list[str]]:
         )))
     if argv[0] in ("simulate", "compare"):
         argv += ["--runs", str(draw(st.integers(1, 50))), "--seed", str(draw(st.integers(0, 9)))]
+    if argv[0] == "solve":
+        argv += ["--precision", str(draw(st.integers(0, 20)))]
     if draw(st.booleans()):
         argv.append("--with-correct-cost")
     return config, argv

@@ -24,6 +24,7 @@ from ckptsched import (
 )
 
 from oracles import (
+    eager_table,
     interval_cost,
     iterate_to_fixed_point,
     linear_policy_values,
@@ -116,8 +117,9 @@ def test_solve_overflow_past_the_cut_is_a_typed_error(monkeypatch, plan, cut):
 
 
 def test_t_table_overflow_writes_no_warning():
-    """A short plan's table cells may overflow to inf; pricing them is as
-    quiet as the backwards pass that gave the finite values."""
+    """A short plan's table cells may overflow to inf; pricing them with
+    table_rows is as quiet as the backwards pass that gave the finite
+    values."""
     plan = TaskPlan([
         StepModel(0.9, t_diagnose=1e300, t_correct=1.7e308, t_redo=1e307),
         StepModel(1.0, t_confirm=1.7e308, t_diagnose=1.0, t_correct=1e307, t_redo=1e300),
@@ -125,21 +127,22 @@ def test_t_table_overflow_writes_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = solve(plan)
-        table = result.t_table
+        rows = list(solver.table_rows(plan, result))
     assert np.isfinite(result.value).all()
-    assert not np.isfinite(table[0, 1:]).all()
+    assert not np.isfinite(rows[0]).all()
 
 
 def test_t_table_shape_and_sentinels(fig4_plan):
-    table = solve(fig4_plan).t_table
-    assert table.shape == (5, 6)
-    for i in range(5):
-        assert np.isnan(table[i, : i + 1]).all()
-        assert np.isfinite(table[i, i + 1 :]).all()
+    rows = list(solver.table_rows(fig4_plan, solve(fig4_plan)))
+    assert len(rows) == 5
+    for i, row in enumerate(rows):
+        assert row.dtype == np.float64
+        assert row.shape == (5 - i,)
+        assert np.isfinite(row).all()
 
 
 # ---------------------------------------------------------------------------
-# The row kernel: scalar and numpy bodies, the lazy table
+# The row kernel: scalar and numpy bodies, the streamed table
 # ---------------------------------------------------------------------------
 
 
@@ -203,45 +206,21 @@ def test_row_min_ranks_nan_last_and_keeps_the_earliest_tie():
     assert solver._row_min([inf, nan, inf], 0.5) == (inf, -1)
 
 
-def _eager_table(plan, flag):
-    """Values and table filled cell by cell during the backwards pass."""
-    n = plan.n
-    cols = solver._Columns(plan)
-    value = [0.0] * (n + 1)
-    table = np.full((n, n + 1), np.nan)
-    for i in range(n - 1, -1, -1):
-        a_row = [float(a) for a in solver._row_costs(i, n, cols, value, flag)]
-        best = min(a / cols.p[i] for a in a_row)
-        value[i] = best
-        for offset, a_ij in enumerate(a_row):
-            table[i, i + 1 + offset] = a_ij + (1.0 - cols.p[i]) * best
-    return np.array(value), table
-
-
 @pytest.mark.parametrize("flag", [False, True])
 def test_lazy_t_table_equals_eager_table(fig4_plan, flag):
+    """table_rows' rows are the eager table's, bit for bit."""
     from oracles import random_plan
 
     rng = random.Random(17)
     plans = [fig4_plan, random_plan(rng, n_lo=solver.ROW_CUT + 5, n_hi=90)]
     for plan in plans:
         result = solve(plan, flag)
-        value, table = _eager_table(plan, flag)
+        value, table = eager_table(plan, flag)
         assert result.value.tobytes() == value.tobytes()
-        assert result.t_table.tobytes() == table.tobytes()
-
-
-def test_t_table_is_priced_once_on_first_read(fig4_plan, monkeypatch):
-    result = solve(fig4_plan)
-    priced = []
-    row_costs = solver._row_costs
-    monkeypatch.setattr(
-        solver, "_row_costs", lambda *a: priced.append(a[0]) or row_costs(*a)
-    )
-    first = result.t_table
-    assert sorted(priced) == list(range(fig4_plan.n))
-    assert result.t_table is first
-    assert len(priced) == fig4_plan.n
+        rows = list(solver.table_rows(plan, result))
+        assert len(rows) == plan.n
+        for i, row in enumerate(rows):
+            assert row.tobytes() == table[i, i + 1 :].tobytes()
 
 
 def test_solve_does_not_build_the_table():
@@ -257,7 +236,6 @@ def test_solve_does_not_build_the_table():
     finally:
         tracemalloc.stop()
     assert peak < table_bytes / 16
-    assert "t_table" not in vars(result)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +431,10 @@ def test_t_table_cells_match_interval_cost(fig4_plan, flag):
     for plan in [fig4_plan] + [random_plan(rng) for _ in range(25)]:
         result = solve(plan, flag)
         value = result.value.tolist()
-        for i in range(plan.n):
+        for i, row in enumerate(solver.table_rows(plan, result)):
             for j in range(i + 1, plan.n + 1):
                 direct = interval_cost(plan, i, j, value, value[i], flag)
-                assert result.t_table[i, j] == pytest.approx(direct, rel=1e-9)
+                assert row[j - i - 1] == pytest.approx(direct, rel=1e-9)
 
 
 @pytest.mark.parametrize("flag", [False, True])
@@ -594,8 +572,7 @@ def test_policy_self_consistency(plan, flag):
 @settings(max_examples=100, deadline=None)
 def test_row_minimum_structure(plan, flag):
     result = solve(plan, flag)
-    for i in range(plan.n):
-        row = result.t_table[i, i + 1 :]
+    for i, row in enumerate(solver.table_rows(plan, result)):
         j = result.policy.next_ckpt[i]
         assert result.value[i] == pytest.approx(np.nanmin(row), rel=1e-12)
         # smallest argmin wins ties
