@@ -135,10 +135,14 @@ class Policy:
         return self
 
     def success_path(self) -> tuple[int, ...]:
-        """Checkpoint states visited when no error occurs, ending at N."""
+        """Checkpoint states visited when no error occurs, ending at N.
+
+        Raises InvalidPolicyError unless the policy is valid for its own N.
+        """
+        n = self.n
+        self.validate_for(n)
         path = []
         i = 0
-        n = self.n
         while i < n:
             i = self.next_ckpt[i]
             path.append(i)

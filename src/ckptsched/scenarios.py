@@ -301,6 +301,10 @@ class SweepRow:
 
 
 def _apply_axis(base: Scenario, axis: str, value: float) -> TaskPlan:
+    if axis not in SWEEP_AXES:
+        raise InvalidSweepValueError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
+    if not -math.inf < value < math.inf:  # exact for ints too large for a float
+        raise InvalidSweepValueError(f"{axis} must be finite, got {value!r}")
     if axis == "N":
         if value != int(value) or not 1 <= value <= MAX_STEPS:
             raise InvalidSweepValueError(
@@ -311,11 +315,8 @@ def _apply_axis(base: Scenario, axis: str, value: float) -> TaskPlan:
     if axis == "p_a":
         if not 0.0 < value <= 1.0:
             raise InvalidSweepValueError(f"p_a must lie in (0, 1], got {value!r}")
-    elif axis in ("t_confirm", "t_diagnose", "t_redo"):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise InvalidSweepValueError(f"{axis} must be finite and >= 0, got {value!r}")
-    else:
-        raise InvalidSweepValueError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
+    elif value < 0.0:
+        raise InvalidSweepValueError(f"{axis} must be >= 0, got {value!r}")
     return TaskPlan(replace(step, **{axis: value}) for step in base.plan.steps)
 
 
@@ -328,11 +329,12 @@ def sweep(
     """Re-solve the scenario with one parameter set uniformly per row.
 
     Sweeping N rebuilds a uniform plan from the base scenario's first step.
+    Every value is checked before the first row is solved.
     """
     validate_scenario(base)
+    plans = [validate_plan(_apply_axis(base, axis, value)) for value in values]
     rows = []
-    for value in values:
-        plan = validate_plan(_apply_axis(base, axis, value))
+    for value, plan in zip(values, plans):
         result = solve(plan, include_correct_cost)
         v_end = evaluate_policy(plan, Policy.end_only(plan.n), include_correct_cost)[0]
         v_every = evaluate_policy(plan, Policy.every_step(plan.n), include_correct_cost)[0]

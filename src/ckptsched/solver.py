@@ -87,14 +87,16 @@ per rounding. The numpy body tests the bound at the last cell of a prefix
 against best * p_next + tau, which is below best_a + tau by at most
 2 u best_a, inside the same margin.
 
-A row runs one of two ways. It streams through ``_stream_row``, a scalar
+A row's body follows one rule. If the row before needed at most
+``STREAM_CELLS`` cells, the row streams through ``_stream_row``, a scalar
 loop that takes the argmin as it goes and tests the bound at each cell that
-does not improve it, unless the row before needed more than
-``STREAM_CELLS`` cells or ran to state N with ``ROW_CUT`` cells or more; a
-stream that reaches ``STREAM_CELLS`` cells without closing gives up.
-Otherwise the numpy body prices prefixes of the row, from the cells the row
-before needed plus 2 and doubling, until the bound closes or the prefix is
-the whole row, so a row that runs to state N is one call as before.
+does not improve it; a stream that reaches ``STREAM_CELLS`` cells without
+closing gives up. Otherwise, and after a stream gives up, the numpy body
+prices prefixes of the row: first the cells the row before needed plus 2,
+or 2 ``STREAM_CELLS`` after a stream, then doubling, until the bound at a
+prefix's last cell closes or the prefix is the whole row. A whole row tests
+the bound too, so the first row below a run of rows that never stop can
+stop, and the row below it stream, again.
 ``_stream_row`` keeps its own copy of the scalar cell formula, and a test
 pins it to ``_row_costs``' cell by cell: folding the two loops into one made
 brute force's 7-cell rows 18-37% slower and the stopped rows 1-10%.
@@ -142,12 +144,6 @@ ROW_CUT = 28
 # 48 solved 4-6% faster than 40 in two sets of interleaved runs (same
 # machine).
 STREAM_CELLS = 48
-
-# solve() tests the bound on one whole numpy row in this many, so a run of
-# rows that never stop can start stopping again. A test costs about 0.3 us,
-# 1.2% of a 1000-step plan's average whole row (25 us); one row in 8 costs
-# 0.15%, and leaving whole rows waits at most 7 rows.
-WHOLE_ROW_TESTS = 8
 
 # c of the stopping tolerance tau = c (N + 2) 2**-52 (M + 2**-1022); the
 # module docstring derives it.
@@ -339,8 +335,8 @@ def solve(plan: TaskPlan, include_correct_cost: bool = False) -> SolveResult:
     if include_correct_cost:
         base += max(cols.tcor)
     v_max = 0.0
-    # cells the row before priced until its bound closed; n once a row of
-    # ROW_CUT cells or more has run to state N, so that the next is whole too
+    # cells the row before priced until its bound closed, or its whole
+    # length; it picks this row's body and first numpy width
     need = 0
     with _quiet(n):
         for i in range(n - 1, -1, -1):
@@ -367,8 +363,6 @@ def solve(plan: TaskPlan, include_correct_cost: bool = False) -> SolveResult:
                 raise PlanOverflowError(
                     f"expected time from state {i} is not a finite float64"
                 )
-            if need >= ROW_CUT and need == n - i:
-                need = n
             value[i] = best
             if array is not None:
                 array[i] = best
@@ -456,13 +450,10 @@ def _chunked_row(
             upto = n
         a_row, acc_err, redo = _long_row_costs(i, upto, cols, value, include_correct_cost)
         best, offset = _row_min(a_row, p_next)
-        # On a whole row the bound only sizes the next row; test it on one
-        # whole row in WHOLE_ROW_TESTS.
-        if upto < n or not i % WHOLE_ROW_TESTS:
-            limit = best * p_next + tau
-            if limit < acc_err[-1] + redo[-1] < math.inf:
-                closed = np.add(acc_err, redo, out=acc_err) > limit
-                return best, offset, int(closed.argmax()) + 1
+        limit = best * p_next + tau
+        if limit < acc_err[-1] + redo[-1] < math.inf:
+            closed = np.add(acc_err, redo, out=acc_err) > limit
+            return best, offset, int(closed.argmax()) + 1
         if upto == n:
             return best, offset, n - i
         width *= 2

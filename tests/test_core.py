@@ -213,6 +213,9 @@ def test_success_path():
     assert Policy((2, 3, 5, 5, 5)).success_path() == (2, 5)
     assert Policy.end_only(5).success_path() == (5,)
     assert Policy.every_step(3).success_path() == (1, 2, 3)
+    for invalid in (Policy([0]), Policy((7, 2))):  # a self-loop; a state past N
+        with pytest.raises(InvalidPolicyError):
+            invalid.success_path()
 
 
 def test_reachable_states_all_fallible(fig4_plan):

@@ -22,6 +22,7 @@ from ckptsched import (
     solve,
     sweep,
 )
+from ckptsched import scenarios
 from ckptsched.scenarios import (
     NON_REPRODUCTION_NOTE,
     comparison_summary,
@@ -226,11 +227,23 @@ def test_sweep_n_axis_rebuilds_uniform_plan():
 @pytest.mark.parametrize(
     "axis,value",
     [("p_a", 0.0), ("p_a", 1.2), ("t_confirm", -1.0), ("t_redo", math.inf),
-     ("N", 0), ("N", 2.5)],
+     ("N", 0), ("N", 2.5), ("N", math.inf), ("N", -math.inf), ("N", math.nan),
+     ("p_a", math.nan)],
 )
 def test_sweep_rejects_invalid_values(axis, value):
-    with pytest.raises(InvalidSweepValueError):
+    with pytest.raises(InvalidSweepValueError,
+                       match=None if math.isfinite(value) else "finite"):
         sweep(get_scenario("shopping"), axis, [value])
+
+
+def test_sweep_checks_every_value_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a row before every value was checked")
+
+    monkeypatch.setattr(scenarios, "solve", no_solve)
+    for values in ([5, math.nan], [5, 10**400]):  # 10**400 overflows a float
+        with pytest.raises(InvalidSweepValueError):
+            sweep(get_scenario("shopping"), "N", values)
 
 
 def test_sweep_rejects_unknown_axis():

@@ -388,6 +388,37 @@ def test_solve_prices_a_bounded_number_of_cells(monkeypatch):
     assert n <= cells <= 64 * n
 
 
+def test_rows_stop_again_right_after_rows_that_never_stop(monkeypatch):
+    """500 fallible steps, then 500 with p_a = 1: rows 500..999 run to state
+    N without their bound closing. Row 499 prices its whole row once, its
+    bound closes, and every row below it stops early again."""
+    rng = random.Random(7)
+    steps = [StepModel(rng.uniform(0.85, 0.999), *(rng.uniform(0.5, 10) for _ in range(4)))
+             for _ in range(500)]
+    plan = TaskPlan(steps + [StepModel(1.0, 1.0, 1.0, 1.0, 1.0)] * 500)
+    cells = [0] * plan.n
+    long_calls = [0] * plan.n
+    stream_row, long_row_costs = solver._stream_row, solver._long_row_costs
+
+    def counting_stream_row(i, upto, *args):
+        row = stream_row(i, upto, *args)
+        cells[i] += upto - i if row is None else row[2]
+        return row
+
+    def counting_long_row_costs(i, upto, *args):
+        cells[i] += upto - i
+        long_calls[i] += 1
+        return long_row_costs(i, upto, *args)
+
+    monkeypatch.setattr(solver, "_stream_row", counting_stream_row)
+    monkeypatch.setattr(solver, "_long_row_costs", counting_long_row_costs)
+    solve(plan)
+    assert (cells[499], long_calls[499]) == (501, 1)
+    assert max(cells[:499]) <= 128, max(range(499), key=cells.__getitem__)
+    monkeypatch.undo()
+    _assert_rows_are_whole_row_minima(plan, False)
+
+
 # ---------------------------------------------------------------------------
 # interval_cost() (tests/oracles.py)
 # ---------------------------------------------------------------------------
