@@ -17,9 +17,11 @@ advance many runs together in numpy (``_lockstep_runs``) with the same bits as
 the scalar state machine (``_run_cdcr``), which traces and forced runs use.
 The lockstep pool keeps only live runs: a lane whose run ends takes the next
 run, or retires once none is left, and the live lanes are packed to the
-front. Agent forward-execution time is never charged (cost is user
-interaction time); execute events are logged with zero duration for trace
-readability.
+front. It holds as many lanes as fit a fixed cell budget at the policy's
+widest interval, and hands its last few live runs to the scalar state
+machine, which plays them on from where the pool left them. Agent
+forward-execution time is never charged (cost is user interaction time);
+execute events are logged with zero duration for trace readability.
 
 Size limits: a run's expected cycle count is the sum over steps of
 (1 - p)/p under every policy, so the work a simulation asks for is bounded
@@ -52,18 +54,33 @@ DEFAULT_ENUM_CAP = 8
 # times that at N = 11.
 MAX_ENUM_CAP = 10
 
-# Lane pool of the lockstep Monte Carlo: lanes x N stays near this many cells,
-# so its working set is fixed whatever the run count.
+# Lane pool of the lockstep Monte Carlo: lanes x widest interval stays near
+# this many cells, so its working set is fixed whatever the run count.
 _LANE_CELLS = 16384
+
+# The lockstep pool hands its live runs to the scalar simulator once no run is
+# left to start and the live lanes hold at most this many cells of the
+# widest interval. A pass of few lanes costs 80-130 us (about 75 numpy
+# calls) and _run_cdcr about 5 us per interval plus 1.2 us per step, so k
+# runs cost less in the scalar simulator while k x widest is up to about 16:
+# 2 runs of a 2-step plan at p_a = 1e-3 took 260 ms in the pool and 14 ms
+# handed over. A cut on k alone would also hand over wide intervals: with
+# k <= 16, 16 runs of an end-only 1000-step plan went from 6 to 35 ms.
+_SCALAR_CELLS = 16
 
 # Simulation size limits. A run's expected cycle count has a closed form
 # (_expected_cycles), so the work a call asks for is bounded before any draw:
 # a Monte Carlo call's step outcomes drawn and lockstep passes, and a trace's
-# events. A pass costs 20-100 us and a drawn cell tens of ns, so either Monte
-# Carlo limit is about ten seconds; criterion 3's 10**6-run fig4 calls expect
-# 1.2e7 draws in 2.0e3 passes. A trace event holds about 170 bytes, so the
-# event limit is about 35 MiB. MAX_PASSES is a hard cap on passes (and on a
-# trace's cycles) for runs far above their mean.
+# events. A pass costs about 90 us with a few thousand cells and 300 us with
+# all _LANE_CELLS, and a drawn cell tens of ns, so either Monte Carlo limit is
+# at most about ten seconds: 1000 runs of a 2-step plan at p_a = 1.6e-4,
+# expected to take 9.9e4 passes, took 4.0e4 in 3.7 s (2-core x86 VM, Python
+# 3.11, numpy 2.4). The pass estimate charges the last runs whole passes,
+# which the scalar simulator plays far cheaper: 2 runs at p_a = 4e-5,
+# expected to take 8.5e4 passes, took 0.35 s. Criterion 3's 10**6-run fig4
+# calls expect 1.2e7 draws in at most 2.0e3 passes. A trace event holds about
+# 170 bytes, so the event limit is about 35 MiB. MAX_PASSES is a hard cap on
+# passes (and on a trace's cycles) for runs far above their mean.
 MAX_EXPECTED_DRAWS = 2 * 10**8
 MAX_EXPECTED_PASSES = 10**5
 MAX_EXPECTED_EVENTS = 2 * 10**5
@@ -102,6 +119,14 @@ class RunStream:
 
     def __init__(self, seed: int, run: int) -> None:
         self._state = (_stream_base(seed) + (run << 32) * _GOLDEN) & _MASK64
+
+    @classmethod
+    def at(cls, state: int) -> RunStream:
+        """The stream whose next draw follows counter ``state``: a run's
+        stream partway through its window."""
+        stream = cls.__new__(cls)
+        stream._state = state
+        return stream
 
     def random(self) -> float:
         self._state = s = (self._state + _GOLDEN) & _MASK64
@@ -172,17 +197,18 @@ def _run_cdcr(
     outcomes: Callable[[int, int], Sequence[bool]],
     include_correct_cost: bool,
     events: list[TraceEvent] | None,
+    start: tuple[int, float, int] = (0, 0.0, 0),
 ) -> tuple[float, int]:
     """Play one run to completion; returns (total user time, cycle count).
 
-    ``outcomes(i, j)`` yields the success flags for executing steps i+1..j.
-    Terminates with probability 1 whenever every p_a > 0; raises
-    SimulationBudgetError after MAX_PASSES cycles.
+    The run starts at ``start`` = (verified state, total so far, cycles so
+    far), from the beginning by default. ``outcomes(i, j)`` yields the
+    success flags for executing steps i+1..j. Terminates with probability 1
+    whenever every p_a > 0; raises SimulationBudgetError after MAX_PASSES
+    cycles.
     """
     n = len(p)
-    total = 0.0
-    cycles = 0
-    i = 0
+    i, total, cycles = start
     while True:
         j = next_ckpt[i]
         oks = outcomes(i, j)
@@ -344,22 +370,32 @@ def _lockstep_runs(
 
     Run r's entries are bit-identical to ``_run_cdcr`` over
     ``_sampled_outcomes(p, RunStream(seed, r))``. A pool of lanes each holds
-    one run, and each pass plays one confirm interval on every live lane.
-    The live lanes are the prefix [0, k) of the lane arrays. A lane whose run
-    finishes writes the run's slot and takes the next run; once none is left
-    it retires and the live lanes are packed to the front, so no pass works
-    on an idle lane. Costs are added one at a time in the scalar order, each
-    masked to the lanes that have a cost at that position. Every array a pass
-    writes is a view of a buffer allocated once per call and sliced to the k
-    live lanes; a pass allocates only the index lists of the lanes that
-    finished and _draw_bits' step increments (at most N entries). So memory
-    beyond the two outputs stays fixed whatever ``runs`` is.
+    one run, and each pass plays one confirm interval on every live lane, so
+    a pass's cells number at most lanes x the policy's widest interval, and
+    the pool holds _LANE_CELLS // widest lanes. The live lanes are the prefix
+    [0, k) of the lane arrays. A lane whose run finishes writes the run's
+    slot and takes the next run; once none is left it retires and the live
+    lanes are packed to the front, so no pass works on an idle lane. Costs
+    are added one at a time in the scalar order, each masked to the lanes
+    that have a cost at that position. Every array a pass writes is a view
+    of a buffer allocated once per call and sliced to the k live lanes; a
+    pass allocates only the index lists of the lanes that finished and
+    _draw_bits' step increments (at most widest entries). So memory beyond
+    the two outputs stays fixed whatever ``runs`` is.
+
+    A pass costs about the same whatever k is, so once no run is left to
+    start and k x widest is at most _SCALAR_CELLS, ``_run_cdcr`` finishes
+    each live run from its lane's verified state, total and cycle count,
+    reading the run's stream from the lane's counter on. Both add the same
+    costs in the same order, so the totals do not depend on where a run
+    finishes.
 
     Raises SimulationBudgetError before any draw if the expected work is
     above the stated limits, and after MAX_PASSES passes.
     """
     n = len(p)
-    lanes = min(runs, max(1, _LANE_CELLS // n))
+    widest = max(j - i for i, j in enumerate(next_ckpt))
+    lanes = min(runs, max(1, _LANE_CELLS // widest))
     _check_budget(p, runs, lanes)
     base = _stream_base(seed)
     nxt = np.asarray(next_ckpt, dtype=np.intp)
@@ -383,13 +419,14 @@ def _lockstep_runs(
 
     totals = np.empty(runs)
     cycle_counts = np.empty(runs)
-    # One confirm interval's cells for every live lane, at most lanes x n:
-    # its draws, then the diagnose or redo costs of each offset.
-    bits = np.empty(lanes * n, dtype=np.uint64)
-    spare = np.empty(lanes * n, dtype=np.uint64)
-    index = np.empty(lanes * n, dtype=np.intp)
-    fail_buf = np.empty(lanes * n, dtype=bool)
-    costs_buf = np.empty(lanes * n)
+    # One confirm interval's cells for every live lane, at most lanes x
+    # widest: its draws, then the diagnose or redo costs of each offset.
+    cells_max = lanes * widest
+    bits = np.empty(cells_max, dtype=np.uint64)
+    spare = np.empty(cells_max, dtype=np.uint64)
+    index = np.empty(cells_max, dtype=np.intp)
+    fail_buf = np.empty(cells_max, dtype=bool)
+    costs_buf = np.empty(cells_max)
     # The lanes' runs; lane l < k is live.
     run = lane_ids.copy()
     state = _run_states(base, run)
@@ -425,7 +462,7 @@ def _lockstep_runs(
     k = next_run = lanes
     passes = 0
     with np.errstate(all="ignore"):
-        while k:
+        while next_run < runs or k * widest > _SCALAR_CELLS:
             passes += 1
             if passes > MAX_PASSES:
                 raise _pass_cap_error()
@@ -495,6 +532,13 @@ def _lockstep_runs(
                     (total, cost_buf), (cycles, cost_buf),
                 ):
                     lane_array[:k] = np.take(lane_array, keep, out=scratch[:k], mode="clip")
+    for lane in range(k):
+        start = (int(i[lane]), float(total[lane]), int(cycles[lane]))
+        outcomes = _sampled_outcomes(p, RunStream.at(int(state[lane])))
+        slot = int(run[lane])
+        totals[slot], cycle_counts[slot] = _run_cdcr(
+            p, tc, td, tcor, tr, next_ckpt, outcomes, include_correct_cost, None, start
+        )
     return totals, cycle_counts
 
 
@@ -647,8 +691,10 @@ def enumerate_policies(
         nonlocal best_value, best, evaluated
         row = _row_costs(i, n, cols, value, include_correct_cost)
         if i > 0:
+            p_next = p[i]
             for j, a_ij in enumerate(row, i + 1):
-                value[i] = a_ij / p[i]
+                v = a_ij / p_next
+                value[i] = 0.0 if v < 0.0 else v  # as the policy's own pass
                 next_ckpt[i] = j
                 walk(i - 1)
             return
@@ -658,6 +704,8 @@ def enumerate_policies(
         # equal v0 from another node is settled by comparing the vectors.
         evaluated += n
         node_value, offset = _row_min(row, p[0])
+        if node_value < 0.0:
+            node_value = 0.0
         if offset >= 0:
             candidate = (offset + 1, *next_ckpt[1:])
             if node_value < best_value or (

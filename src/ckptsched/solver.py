@@ -55,7 +55,7 @@ real arithmetic on the same float inputs: a(i, j) - lb(i, J) is t_confirm_j
 + S(i, j) V[j] + the error terms of m = J+1..j + acc_q(i, J) TR(J+1..j), and
 each of these is >= 0, because validate_plan makes every cost finite and
 >= 0, a float prefix sum of non-negative numbers never decreases, and V >= 0
-(solve() checks it, and no row stops once a V is negative). So once
+(see below). So once
 
     lb(i, J) is finite and lb(i, J) > best_a + tau,
 
@@ -86,6 +86,14 @@ leaves a factor of 9 for the rounding of M itself and for the count; the
 per rounding. The numpy body tests the bound at the last cell of a prefix
 against best * p_next + tau, which is below best_a + tau by at most
 2 u best_a, inside the same margin.
+
+The kernel's redo sums subtract a prefix and add it back, so on zero-cost
+steps after a step with a redo cost, a value that is 0 in real arithmetic
+can round to a tiny negative (-2e-17 on 28 such steps). solve(),
+evaluate_policy(), table_rows() and brute force clamp a value or cell below
+0 to +0.0 where they store it. The kernel's arithmetic is unchanged, so a
+plan on which no result rounds below 0 keeps every bit. Every V a row reads
+is then >= 0.
 
 A row's body follows one rule. If the row before needed at most
 ``STREAM_CELLS`` cells, the row streams through ``_stream_row``, a scalar
@@ -196,7 +204,8 @@ def table_rows(plan: TaskPlan, result: SolveResult) -> Iterator[np.ndarray]:
     checkpoint at j, assuming optimal behaviour afterwards. Each row is
     priced whole from ``result.value`` through _row_costs, whose cells are
     those the backwards pass priced where it priced them, bit for bit. Cells
-    may overflow to inf, quietly, even where every value is finite.
+    may overflow to inf, quietly, even where every value is finite, and a
+    cell that rounds below 0 is 0, as values are (module docstring).
     """
     n = plan.n
     cols = _Columns(plan)
@@ -210,6 +219,7 @@ def table_rows(plan: TaskPlan, result: SolveResult) -> Iterator[np.ndarray]:
                 _row_costs(i, n, cols, v, result.include_correct_cost),
                 (1.0 - cols.p[i]) * value[i],
             )
+        row[row < 0.0] = 0.0
         yield row
 
 
@@ -343,8 +353,6 @@ def solve(plan: TaskPlan, include_correct_cost: bool = False) -> SolveResult:
             v = value[i + 1]
             if v > v_max:
                 v_max = v
-            elif v < 0.0:  # the bound needs V >= 0: no row stops from here on
-                v_max = math.inf
             tau = scale * (base + v_max)
             if need <= STREAM_CELLS:
                 row = _stream_row(
@@ -363,6 +371,8 @@ def solve(plan: TaskPlan, include_correct_cost: bool = False) -> SolveResult:
                 raise PlanOverflowError(
                     f"expected time from state {i} is not a finite float64"
                 )
+            if best < 0.0:
+                best = 0.0
             value[i] = best
             if array is not None:
                 array[i] = best
@@ -510,5 +520,6 @@ def _policy_values(
             a_ij = _row_costs(i, j, cols, array, include_correct_cost)[-1]
         else:
             a_ij = _row_costs(i, j, cols, value, include_correct_cost)[-1]
-        value[i] = a_ij / p[i]
+        v = a_ij / p[i]
+        value[i] = 0.0 if v < 0.0 else v
     return value

@@ -4,14 +4,15 @@ Each function recomputes a quantity by a route the library does not take:
 plain product loops for the kernels, a direct double loop over one table
 cell instead of the streamed row kernel, a dense linear solve over a policy's
 state equations instead of the per-row closed form, and sweep-to-convergence
-fixed-point iteration instead of the algebraic fixed point. Three more share
-the row kernel but not its callers' bookkeeping: brute force that prices
-every policy by its own backwards pass instead of walking the policy tree,
-a policy pass that hands every row V as a list instead of one shared array,
-and a dense (N, N+1) table filled cell by cell during a backwards pass over
-whole rows, instead of rows that stop early and a table streamed from the
-final values. The table's reference text formats every cell into a dict
-before it lays out a line.
+fixed-point iteration instead of the algebraic fixed point. The second moment
+of a policy's user time, which the library does not compute, checks the
+simulators' spread. Three more share the row kernel but not its callers'
+bookkeeping: brute force that prices every policy by its own backwards pass
+instead of walking the policy tree, a policy pass that hands every row V as
+a list instead of one shared array, and a dense (N, N+1) table filled cell
+by cell during a backwards pass over whole rows, instead of rows that stop
+early and a table streamed from the final values. The table's reference text
+formats every cell into a dict before it lays out a line.
 """
 
 from __future__ import annotations
@@ -87,23 +88,23 @@ def list_policy_values(
     value = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         a_ij = _row_costs(i, next_ckpt[i], cols, value, include_correct_cost)[-1]
-        value[i] = a_ij / plan.steps[i].p_a
+        value[i] = max(a_ij / plan.steps[i].p_a, 0.0)
     return value
 
 
 def eager_table(plan: TaskPlan, include_correct: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Values and table filled cell by cell during the backwards pass; cells
-    with j <= i are NaN."""
+    with j <= i are NaN. A value or cell that rounds below 0 is 0."""
     n = plan.n
     cols = _Columns(plan)
     value = [0.0] * (n + 1)
     table = np.full((n, n + 1), np.nan)
     for i in range(n - 1, -1, -1):
         a_row = [float(a) for a in _row_costs(i, n, cols, value, include_correct)]
-        best = min(a / cols.p[i] for a in a_row)
+        best = max(min(a / cols.p[i] for a in a_row), 0.0)
         value[i] = best
         for offset, a_ij in enumerate(a_row):
-            table[i, i + 1 + offset] = a_ij + (1.0 - cols.p[i]) * best
+            table[i, i + 1 + offset] = max(a_ij + (1.0 - cols.p[i]) * best, 0.0)
     return np.array(value), table
 
 
@@ -199,6 +200,43 @@ def linear_policy_values(
     return np.linalg.solve(A, b)
 
 
+def policy_moments(
+    plan: TaskPlan, policy: Policy, include_correct: bool
+) -> tuple[list[float], list[float]]:
+    """Mean V[i] and second moment W[i] of the user time from state i under a
+    fixed policy, by first-step analysis over the outcomes o of one confirm
+    interval, each with probability P(o), cost c_o and next state x_o:
+
+        V[i] = sum_o P(o) (c_o + V[x_o])
+        W[i] = sum_o P(o) (c_o**2 + 2 c_o V[x_o] + W[x_o])
+
+    The first error at step i+1 returns to state i, with probability
+    1 - p_a of that step; moving its V[i] and W[i] terms to the left solves
+    both in closed form. Uses none of the library's kernels.
+    """
+    n = plan.n
+    value = [0.0] * (n + 1)
+    second = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        j = policy.next_ckpt[i]
+        confirm = plan.steps[j - 1].t_confirm
+        surv = ref_survival(plan, i, j)
+        mean = surv * (confirm + value[j])
+        square = surv * (confirm * confirm + 2.0 * confirm * value[j] + second[j])
+        loop_q = loop_cost = 0.0
+        for m, q in ref_first_error(plan, i, j):
+            cost = confirm + _branch_cost(plan, i, m, j, include_correct)
+            if m == i + 1:
+                loop_q, loop_cost = q, cost
+            else:
+                mean += q * (cost + value[m - 1])
+                square += q * (cost * cost + 2.0 * cost * value[m - 1] + second[m - 1])
+        p_next = plan.steps[i].p_a
+        value[i] = (mean + loop_q * loop_cost) / p_next
+        second[i] = (square + loop_q * (loop_cost * loop_cost + 2.0 * loop_cost * value[i])) / p_next
+    return value, second
+
+
 def iterate_to_fixed_point(
     plan: TaskPlan,
     include_correct: bool,
@@ -254,3 +292,11 @@ def random_plan(
         )
         for _ in range(n)
     )
+
+
+def redo_then_free_steps(p_a: float, free: int = 28) -> TaskPlan:
+    """A step with a redo cost, then ``free`` steps that cost nothing. The
+    free states' values are 0, but the row kernel's redo sums cancel and
+    round them to tiny negatives before they are clamped (-1.98e-17 at
+    p_a = 0.7, down to -4.6e-16 at 0.3, with 28 free steps)."""
+    return TaskPlan([StepModel(p_a, t_redo=0.1)] + [StepModel(p_a)] * free)

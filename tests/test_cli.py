@@ -26,7 +26,7 @@ from ckptsched.cli import (
 )
 from ckptsched.scenarios import LOCATIONS, MAX_STEPS, SWEEP_AXES, fig4_scenario
 
-from oracles import dense_solve_output, eager_table, random_plan
+from oracles import dense_solve_output, eager_table, random_plan, redo_then_free_steps
 
 
 def run(capsys, *argv):
@@ -65,7 +65,7 @@ def test_solve_with_correct_cost(capsys):
 
 def _reference_plans():
     """fig4, random plans on both sides of the row kernel's cut, zero costs
-    of both signs with cells that round to tiny negatives (printed -0.00),
+    of both signs with cells that round to tiny negatives (clamped to 0),
     and table cells that overflow to inf."""
     rng = random.Random(11)
     yield "fig4", fig4_scenario().plan
@@ -118,6 +118,19 @@ def test_solve_text_equals_the_dense_reference(capsys, tmp_path, name, plan, fla
         assert out_path.read_text(encoding="utf-8") == want
     if name == "overflow" and not flag:
         assert "inf" in out
+
+
+@pytest.mark.parametrize("p_a", [0.7, 0.3])
+def test_free_steps_print_no_negative_times(capsys, tmp_path, p_a):
+    """Zero-cost steps after a redo cost used to print `-0.00` in solve's
+    values and table and `-1.98254e-17` in eval's."""
+    path = tmp_path / "free.json"
+    steps = [{"p_a": s.p_a, "t_redo": s.t_redo} for s in redo_then_free_steps(p_a).steps]
+    path.write_text(json.dumps({"name": "free", "steps": steps}))
+    for argv in (["solve", str(path)], ["eval", str(path), "--policy", "optimal"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert "-0.00" not in out and "e-" not in out
 
 
 # any float a cell can be: never -0.0 (x + 0.0 turns it into 0.0)

@@ -30,6 +30,7 @@ from ckptsched import oracle
 from ckptsched.core import plan_columns
 from ckptsched.oracle import (
     _LANE_CELLS,
+    _SCALAR_CELLS,
     CONFIRM,
     DEFAULT_ENUM_CAP,
     MAX_ENUM_CAP,
@@ -44,7 +45,7 @@ from ckptsched.oracle import (
     _stream_base,
 )
 
-from oracles import product_enumerate, random_plan
+from oracles import policy_moments, product_enumerate, random_plan, redo_then_free_steps
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +196,25 @@ def _scalar_runs(cols, next_ckpt, runs, seed, include_correct_cost):
 
 
 def _assert_lockstep_matches_scalar(plan, policy, runs, seed, include_correct_cost):
+    """Returns the runs' cycle counts."""
     cols = plan_columns(plan)
     args = (policy.next_ckpt, runs, seed, include_correct_cost)
     totals, cycles = _lockstep_runs(*cols, *args)
     expected_totals, expected_cycles = _scalar_runs(cols, *args)
     assert np.array_equal(totals, expected_totals)
     assert np.array_equal(cycles, expected_cycles)
+    return cycles
+
+
+def _widest(policy):
+    return max(j - i for i, j in enumerate(policy.next_ckpt))
 
 
 SEEDS = (0, 2**63, 2**64 + 5)
 
 
-def test_lockstep_runs_equal_scalar_runs_on_random_plans():
+def test_lockstep_runs_equal_scalar_runs_on_random_plans(monkeypatch):
+    lanes, _ = _record_play(monkeypatch)
     rng = random.Random(20261018)
     for case in range(45):
         plan = random_plan(rng, n_lo=1, n_hi=25, p_lo=0.3)
@@ -217,9 +225,13 @@ def test_lockstep_runs_equal_scalar_runs_on_random_plans():
         )
         policy = Policy(rng.randint(i + 1, plan.n) for i in range(plan.n))
         runs = rng.choice((1, 2, 17, 300))
+        lanes.clear()
         _assert_lockstep_matches_scalar(
             plan, policy, runs, SEEDS[case % 3], include_correct_cost=bool(case % 2)
         )
+        # runs in the low tens reach the lockstep kernel unless they all fit
+        # the scalar finish
+        assert bool(lanes) == (runs * _widest(policy) > _SCALAR_CELLS), case
 
 
 @pytest.mark.parametrize("n", [1, 20])
@@ -227,37 +239,59 @@ def test_lockstep_runs_equal_scalar_runs_around_the_lane_pool_size(n):
     rng = random.Random(n)
     plan = random_plan(rng, n_lo=n, n_hi=n, p_lo=0.3)
     policy = Policy(rng.randint(i + 1, n) for i in range(n))
-    lanes = max(1, _LANE_CELLS // n)
+    lanes = max(1, _LANE_CELLS // _widest(policy))
     for k, runs in enumerate((1, lanes - 1, lanes, lanes + 1, 3 * lanes + 7)):
         _assert_lockstep_matches_scalar(
             plan, policy, runs, SEEDS[k % 3], include_correct_cost=bool(k % 2)
         )
 
 
-def _record_pass_lanes(monkeypatch) -> list[int]:
-    """The live lane count of every lockstep pass from now on."""
-    lanes = []
+def _record_play(monkeypatch) -> tuple[list[int], list[int]]:
+    """From now on, the live lane count of every lockstep pass, and the
+    confirm intervals of every run the scalar simulator finishes for it."""
+    lanes, handed = [], []
     draw_bits = oracle._draw_bits
+    run_cdcr = oracle._run_cdcr
 
     def counting(states, width, out, tmp):
         lanes.append(len(states))
         return draw_bits(states, width, out, tmp)
 
+    def finishing(*args):
+        *cols, outcomes, include_correct_cost, events, start = args
+        intervals = 0
+
+        def counted(i, j):
+            nonlocal intervals
+            intervals += 1
+            return outcomes(i, j)
+
+        result = run_cdcr(*cols, counted, include_correct_cost, events, start)
+        handed.append(intervals)
+        return result
+
     monkeypatch.setattr(oracle, "_draw_bits", counting)
-    return lanes
+    monkeypatch.setattr(oracle, "_run_cdcr", finishing)
+    return lanes, handed
 
 
 @pytest.mark.parametrize("flag", [False, True])
-def test_lockstep_runs_equal_scalar_runs_down_to_one_live_lane(monkeypatch, flag):
+def test_lockstep_runs_equal_scalar_runs_down_to_the_scalar_finish(monkeypatch, flag):
     """One step at p_a = 0.3 over three and a bit waves: the slowest runs end
-    long after the others, so the pool packs down to a single live lane."""
+    long after the others, so the pool packs down until the scalar simulator
+    finishes its last few runs. The lanes of the passes and the intervals the
+    scalar simulator plays sum to the runs' intervals, one per run and one
+    per cycle."""
     plan = TaskPlan([StepModel(0.3, t_confirm=1.25, t_diagnose=0.5, t_correct=3.0, t_redo=0.75)])
     runs = 3 * _LANE_CELLS + 7
-    lane_counts = _record_pass_lanes(monkeypatch)
+    lane_counts, handed = _record_play(monkeypatch)
     for seed in SEEDS:
         lane_counts.clear()
-        _assert_lockstep_matches_scalar(plan, Policy((1,)), runs, seed, flag)
-        assert lane_counts[0] == _LANE_CELLS and lane_counts[-1] == 1
+        handed.clear()
+        cycles = _assert_lockstep_matches_scalar(plan, Policy((1,)), runs, seed, flag)
+        assert lane_counts[0] == _LANE_CELLS and min(lane_counts) > _SCALAR_CELLS
+        assert 1 <= len(handed) <= _SCALAR_CELLS
+        assert sum(lane_counts) + sum(handed) == runs + cycles.sum()
 
 
 def _confirm_intervals(plan, policy, runs, seed):
@@ -275,13 +309,38 @@ def _confirm_intervals(plan, policy, runs, seed):
 
 @pytest.mark.parametrize("scenario,policy_name", [("fig4", "optimal"), ("shopping", "end")])
 def test_lockstep_pool_plays_no_idle_lane(monkeypatch, scenario, policy_name):
-    """The lanes of all passes sum to the confirm intervals the runs play: a
-    pass never carries a lane whose run has finished."""
+    """The lanes of all passes and the intervals of the runs the scalar
+    simulator finishes sum to the confirm intervals the runs play: a pass
+    never carries a lane whose run has finished."""
     plan = get_scenario(scenario).plan
     policy = solve(plan).policy if policy_name == "optimal" else Policy.end_only(plan.n)
-    lanes = _record_pass_lanes(monkeypatch)
+    lanes, handed = _record_play(monkeypatch)
     monte_carlo(plan, policy, runs=5000, seed=7)
-    assert sum(lanes) == _confirm_intervals(plan, policy, 5000, 7)
+    assert sum(lanes) + sum(handed) == _confirm_intervals(plan, policy, 5000, 7)
+
+
+@pytest.mark.parametrize("scenario", ["fig4", "shopping", "image-editing", "overcooked"])
+def test_lane_pool_is_sized_by_the_widest_interval(monkeypatch, scenario):
+    """The first pass fills the cell budget at the policy's widest interval,
+    so an every-step policy plays its 5000 runs in few passes (16-19 on the
+    12-step scenarios, against 55-62 when the pool was sized by N)."""
+    plan = get_scenario(scenario).plan
+    lanes, _ = _record_play(monkeypatch)
+    for policy in (solve(plan).policy, Policy.end_only(plan.n), Policy.every_step(plan.n)):
+        lanes.clear()
+        monte_carlo(plan, policy, runs=5000, seed=7)
+        assert lanes[0] == min(5000, _LANE_CELLS // _widest(policy))
+    assert len(lanes) <= 25  # the every-step policy's passes
+
+
+def test_few_long_runs_finish_in_the_scalar_simulator(monkeypatch):
+    """Two runs of a 2-step plan at p_a = 1e-3 play about 2000 intervals
+    each; the pool hands them to the scalar simulator instead of paying a
+    full pass per interval."""
+    plan = _slow_plan(1e-3)
+    lanes, handed = _record_play(monkeypatch)
+    _assert_lockstep_matches_scalar(plan, Policy.end_only(2), 2, 0, False)
+    assert len(lanes) <= 5 and len(handed) == 2
 
 
 def test_mean_cycles_match_the_closed_form():
@@ -297,6 +356,37 @@ def test_mean_cycles_match_the_closed_form():
         _, cycles = _lockstep_runs(*plan_columns(plan), policy.next_ckpt, 20_000, case, False)
         std_error = cycles.std(ddof=1) / math.sqrt(cycles.size)
         assert abs(cycles.mean() - expected) < 4.5 * std_error, case
+
+
+def _variance_cases():
+    fig4 = get_scenario("fig4").plan
+    yield "fig4-optimal", fig4, solve(fig4).policy
+    yield "fig4-end", fig4, Policy.end_only(5)
+    yield "fig4-every", fig4, Policy.every_step(5)
+    rng = random.Random(20261020)
+    for k in range(4):
+        plan = random_plan(rng, n_lo=3, n_hi=8, p_lo=0.6)
+        yield f"random{k}", plan, Policy(rng.randint(i + 1, plan.n) for i in range(plan.n))
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_sample_variance_matches_the_analytic_second_moment(flag):
+    """The Monte Carlo variance of the user time is W[0] - V[0]**2 from the
+    first-step recursion of the second moment, which shares no code with the
+    simulators, within |z| <= 4 (the bound criterion 3 sets for the mean).
+    The variance's standard error comes from the sample fourth moment."""
+    runs = 200_000
+    for case, (label, plan, policy) in enumerate(_variance_cases()):
+        value, second = policy_moments(plan, policy, flag)
+        assert value[0] == pytest.approx(evaluate_policy(plan, policy, flag)[0], rel=1e-12)
+        variance = second[0] - value[0] ** 2
+        totals, _ = _lockstep_runs(*plan_columns(plan), policy.next_ckpt, runs, case, flag)
+        centred = totals - totals.mean()
+        sample = centred @ centred / (runs - 1)
+        fourth = np.mean(centred**4)
+        std_error = math.sqrt((fourth - sample**2 * (runs - 3) / (runs - 1)) / runs)
+        z = (sample - variance) / std_error
+        assert abs(z) <= 4.0, (label, z)
 
 
 def _slow_plan(p_a):
@@ -491,6 +581,18 @@ def test_tree_walk_equals_product_loop(kind):
         assert repr(got.best_value) == repr(want_value), (kind, k)
         assert got.evaluated == want_count == math.factorial(plan.n)
     assert (overflowed > 0) == (kind == "near_overflow")
+
+
+@pytest.mark.parametrize("p_a", [0.7, 0.3])
+def test_enumerate_clamps_values_as_solve_does(p_a):
+    """On free steps after a redo cost, where the kernel rounds values of 0
+    to tiny negatives, brute force prices each policy with the clamped
+    values of the policy's own pass, so its optimum is solve's to the bit."""
+    for n in range(5, 9):
+        plan = redo_then_free_steps(p_a, n - 1)
+        for flag in (False, True):
+            got = enumerate_policies(plan, flag).best_value
+            assert got.hex() == solve(plan, flag).value[0].hex(), (n, flag)
 
 
 def test_enumerate_prices_every_policy_at_the_cap():

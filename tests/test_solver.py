@@ -29,6 +29,7 @@ from oracles import (
     iterate_to_fixed_point,
     linear_policy_values,
     list_policy_values,
+    redo_then_free_steps,
 )
 
 # Optimal values for the five-step example (p = [.7, .7, .9, .85, .85], unit
@@ -574,6 +575,19 @@ def test_short_rows_never_build_the_array(monkeypatch):
 def test_self_consistency_is_exact(fig4_plan):
     result = solve(fig4_plan)
     assert np.array_equal(evaluate_policy(fig4_plan, result.policy), result.value)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("p_a", [0.7, 0.3])
+def test_values_and_cells_are_never_negative(p_a, flag):
+    """A value or table cell that rounds below 0 is 0, and the policy's own
+    pass prices the optimal policy to the same bits."""
+    plan = redo_then_free_steps(p_a)
+    result = solve(plan, flag)
+    assert (result.value >= 0.0).all()
+    assert evaluate_policy(plan, result.policy, flag).tobytes() == result.value.tobytes()
+    for row in solver.table_rows(plan, result):
+        assert (row >= 0.0).all()
 
 
 # ---------------------------------------------------------------------------
