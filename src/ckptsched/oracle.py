@@ -18,8 +18,9 @@ the scalar state machine (``_run_cdcr``), which traces and forced runs use.
 The lockstep pool keeps only live runs: a lane whose run ends takes the next
 run, or retires once none is left, and the live lanes are packed to the
 front. It holds as many lanes as fit a fixed cell budget at the policy's
-widest interval, and hands its last few live runs to the scalar state
-machine, which plays them on from where the pool left them. Agent
+widest interval, reuses one set of cell-sized buffers for all its passes,
+and hands its last few live runs to the scalar state machine, which plays
+them on from where the pool left them. Agent
 forward-execution time is never charged (cost is user interaction time);
 execute events are logged with zero duration for trace readability.
 
@@ -74,13 +75,15 @@ _SCALAR_CELLS = 16
 # events. A pass costs about 90 us with a few thousand cells and 300 us with
 # all _LANE_CELLS, and a drawn cell tens of ns, so either Monte Carlo limit is
 # at most about ten seconds: 1000 runs of a 2-step plan at p_a = 1.6e-4,
-# expected to take 9.9e4 passes, took 4.0e4 in 3.7 s (2-core x86 VM, Python
-# 3.11, numpy 2.4). The pass estimate charges the last runs whole passes,
-# which the scalar simulator plays far cheaper: 2 runs at p_a = 4e-5,
-# expected to take 8.5e4 passes, took 0.35 s. Criterion 3's 10**6-run fig4
-# calls expect 1.2e7 draws in at most 2.0e3 passes. A trace event holds about
-# 170 bytes, so the event limit is about 35 MiB. MAX_PASSES is a hard cap on
-# passes (and on a trace's cycles) for runs far above their mean.
+# expected to take 8.5e4 passes, took 4.2e4 in 3.8 s (2-core x86 VM, Python
+# 3.11, numpy 2.4). The runs the scalar simulator finishes are charged one
+# pass per _SCALAR_CELLS cells of their intervals: 2 runs at p_a = 3e-5,
+# expected to take 1.7e4 passes, took 0.6 s, and 16 runs of a 1-step plan
+# at p_a = 1e-7, 1.6e8 draws, are refused at 1e7 passes. Criterion 3's
+# 10**6-run fig4 calls expect 1.2e7 draws in at most 2.0e3 passes. A trace
+# event holds about 170 bytes, so the event limit is about 35 MiB.
+# MAX_PASSES is a hard cap on passes (and on a trace's cycles) for runs far
+# above their mean.
 MAX_EXPECTED_DRAWS = 2 * 10**8
 MAX_EXPECTED_PASSES = 10**5
 MAX_EXPECTED_EVENTS = 2 * 10**5
@@ -282,15 +285,13 @@ _U64_MIX_A = np.uint64(_MIX_A)
 _U64_MIX_B = np.uint64(_MIX_B)
 
 
-def _run_states(
-    base: int, runs: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _run_states(base: int, runs: np.ndarray) -> np.ndarray:
     """Start counters of the given runs (an intp array of run indices >= 0):
-    RunStream's, as a uint64 array, written to ``out`` if given."""
-    out = np.left_shift(runs.view(np.uint64), np.uint64(32), out=out)
-    out *= _U64_GOLDEN
-    out += np.uint64(base)
-    return out
+    RunStream's, as a uint64 array."""
+    states = runs.view(np.uint64) << np.uint64(32)
+    states *= _U64_GOLDEN
+    states += np.uint64(base)
+    return states
 
 
 def _draw_bits(
@@ -324,21 +325,30 @@ def _expected_cycles(p: Sequence[float]) -> float:
     return sum((1.0 - p_m) / p_m for p_m in p)
 
 
-def _check_budget(p: Sequence[float], runs: int, lanes: int) -> None:
+def _check_budget(p: Sequence[float], runs: int, widest: int, lanes: int) -> None:
     """Raise SimulationBudgetError if ``runs`` runs on a pool of ``lanes``
-    are expected to draw more than MAX_EXPECTED_DRAWS step outcomes or to
-    take more than MAX_EXPECTED_PASSES passes.
+    lanes at a widest interval of ``widest`` steps are expected to draw more
+    than MAX_EXPECTED_DRAWS step outcomes or to take more than
+    MAX_EXPECTED_PASSES passes.
 
     The bounds: the successful intervals of a run execute the N steps once
     each, and a failed one at most N steps, so a run draws at most
     N * (1 + cycles). It plays at most N successful intervals plus its
-    cycles; each lane plays about ceil(runs / lanes) runs in turn, and the
-    last of them waits for the slowest run, about ln(lanes) run lengths.
+    cycles. The pool plays passes only if runs x widest > _SCALAR_CELLS:
+    each lane plays about ceil(runs / lanes) runs in turn, and the pool then
+    waits for all but the k_end slowest runs, about ln(lanes / k_end) run
+    lengths. The scalar simulator finishes those k_end runs, and k_end x
+    widest cells of its work cost about one pass (the cut _SCALAR_CELLS
+    marks), so they are charged k_end x widest / _SCALAR_CELLS passes per
+    interval.
     """
     n = len(p)
     cycles = _expected_cycles(p)
     draws = runs * n * (1.0 + cycles)
-    passes = (-(-runs // lanes) + math.log(lanes)) * (n + cycles)
+    k_end = min(runs, max(1, _SCALAR_CELLS // widest))
+    passes = k_end * widest / _SCALAR_CELLS * (n + cycles)
+    if runs * widest > _SCALAR_CELLS:
+        passes += (-(-runs // lanes) + math.log(lanes / k_end)) * (n + cycles)
     if draws > MAX_EXPECTED_DRAWS or passes > MAX_EXPECTED_PASSES:
         raise SimulationBudgetError(
             f"{runs} runs of a {n}-step plan with {cycles:.6g} expected cycles "
@@ -377,11 +387,14 @@ def _lockstep_runs(
     slot and takes the next run; once none is left it retires and the live
     lanes are packed to the front, so no pass works on an idle lane. Costs
     are added one at a time in the scalar order, each masked to the lanes
-    that have a cost at that position. Every array a pass writes is a view
-    of a buffer allocated once per call and sliced to the k live lanes; a
-    pass allocates only the index lists of the lanes that finished and
-    _draw_bits' step increments (at most widest entries). So memory beyond
-    the two outputs stays fixed whatever ``runs`` is.
+    that have a cost at that position. A pass's five cell-sized arrays (up
+    to 128 KiB each) are views of buffers allocated once per call: allocated
+    afresh on every pass, they made 5000-run calls 10-30% slower at the
+    median. The lane arrays (run, verified state, counter, total, cycles)
+    keep their size too, and retiring lanes packs them into their own
+    prefix. The rest of a pass has one entry per lane and is plain numpy,
+    which costs the simulate benchmark about 0.9 MiB of peak RSS (+2.5%).
+    So memory beyond the two outputs stays fixed whatever ``runs`` is.
 
     A pass costs about the same whatever k is, so once no run is left to
     start and k x widest is at most _SCALAR_CELLS, ``_run_cdcr`` finishes
@@ -396,7 +409,7 @@ def _lockstep_runs(
     n = len(p)
     widest = max(j - i for i, j in enumerate(next_ckpt))
     lanes = min(runs, max(1, _LANE_CELLS // widest))
-    _check_budget(p, runs, lanes)
+    _check_budget(p, runs, widest, lanes)
     base = _stream_base(seed)
     nxt = np.asarray(next_ckpt, dtype=np.intp)
     # A draw b * 2**-53 < p exactly when b < ceil(p * 2**53) (scaling by a
@@ -433,17 +446,9 @@ def _lockstep_runs(
     i = np.zeros(lanes, dtype=np.intp)
     total = np.zeros(lanes)
     cycles = np.zeros(lanes)
-    # Work arrays of one pass, one entry per lane.
-    j_buf, width_buf, first_buf, at_buf, count_buf = (
-        np.empty(lanes, dtype=np.intp) for _ in range(5)
-    )
-    failed_buf = np.empty(lanes, dtype=bool)
-    mask_buf = np.empty(lanes, dtype=bool)
-    u64_buf = np.empty(lanes, dtype=np.uint64)
-    cost_buf = np.empty(lanes)
 
-    # Every take and put below has mode="clip": its indices are always in
-    # range, and the default mode="raise" would copy its output on each call.
+    # Both takes into a cell buffer have mode="clip": their indices are
+    # always in range, and the default mode="raise" would copy the output.
     def add_in_order(total_k, costs, start, count):
         """total_k += costs[start + off] for each offset off < count, lane by
         lane, one offset after the other (count <= the pass's widest
@@ -466,72 +471,58 @@ def _lockstep_runs(
             passes += 1
             if passes > MAX_PASSES:
                 raise _pass_cap_error()
-            i_k, total_k, cycles_k = i[:k], total[:k], cycles[:k]
-            cost, mask = cost_buf[:k], mask_buf[:k]
-            j = np.take(nxt, i_k, out=j_buf[:k], mode="clip")
-            width = np.subtract(j, i_k, out=width_buf[:k])
+            i_k, state_k, total_k, cycles_k = i[:k], state[:k], total[:k], cycles[:k]
+            j = nxt[i_k]
+            width = j - i_k
             w_max = int(width.max())
             shape = (k, w_max)
             cells = k * w_max
-            drawn = _draw_bits(state[:k], w_max, bits[:cells].reshape(shape), spare[:cells].reshape(shape))
+            drawn = _draw_bits(state_k, w_max, bits[:cells].reshape(shape), spare[:cells].reshape(shape))
             steps = np.add(i_k[:, None], offsets[:w_max], out=index[:cells].reshape(shape))
             limit = np.take(threshold, steps, out=spare[:cells].reshape(shape), mode="clip")
             fail = np.greater_equal(drawn, limit, out=fail_buf[:cells].reshape(shape))
             # A lane's interval failed if its first failed draw, which may lie
             # past the interval's end or not exist (argmax 0), is inside it.
-            first = np.argmax(fail, axis=1, out=first_buf[:k])
-            at = np.multiply(lane_ids[:k], w_max, out=at_buf[:k])
-            at += first
-            failed = np.take(fail_buf, at, out=failed_buf[:k], mode="clip")
-            failed &= np.less(first, width, out=mask)
-            state_k = state[:k]
-            state_k += np.multiply(width.view(np.uint64), _U64_GOLDEN, out=u64_buf[:k])  # width >= 1
-            total_k += np.take(tc_at, j, out=cost, mode="clip")
+            first = fail.argmax(axis=1)
+            failed = fail_buf[lane_ids[:k] * w_max + first]
+            failed &= first < width
+            state_k += width.view(np.uint64) * _U64_GOLDEN  # width >= 1
+            total_k += tc_at[j]
 
             # A failed confirm: diagnose i+1..m, correct m, redo m..j, resume
             # at m-1. A masked-out cost is 0.0 or -0.0, and adding it leaves a
             # total >= 0 unchanged.
-            count = np.add(first, 1, out=count_buf[:k])  # states diagnosed
-            count *= failed
-            add_in_order(total_k, td_pad, i_k, count)
-            np.subtract(width, first, out=count)  # steps redone
-            count *= failed
-            back = np.subtract(j, count, out=i_k)  # m - 1 if failed, else j
+            add_in_order(total_k, td_pad, i_k, (first + 1) * failed)  # states diagnosed
+            redone = (width - first) * failed
+            i_k[:] = j - redone  # m - 1 if failed, else j
             if include_correct_cost:
-                np.take(tcor_at, back, out=cost, mode="clip")
-                cost *= failed
-                total_k += cost
-            add_in_order(total_k, tr_pad, back, count)
+                total_k += tcor_at[i_k] * failed
+            add_in_order(total_k, tr_pad, i_k, redone)
             cycles_k += failed
 
-            done = np.flatnonzero(np.equal(i_k, n, out=mask))
+            done = np.flatnonzero(i_k == n)
             if not done.size:
                 continue
-            d = done.size
-            slots = np.take(run, done, out=count_buf[:d], mode="clip")
-            np.put(totals, slots, np.take(total, done, out=cost_buf[:d], mode="clip"), mode="clip")
-            np.put(cycle_counts, slots, np.take(cycles, done, out=cost_buf[:d], mode="clip"), mode="clip")
-            np.put(i, done, 0, mode="clip")
-            np.put(total, done, 0.0, mode="clip")
-            np.put(cycles, done, 0.0, mode="clip")
-            fresh = min(d, runs - next_run)
+            slots = run[done]
+            totals[slots] = total[done]
+            cycle_counts[slots] = cycles[done]
+            i[done] = 0
+            total[done] = 0.0
+            cycles[done] = 0.0
+            fresh = min(done.size, runs - next_run)
             refill = done[:fresh]
-            new_runs = np.add(lane_ids[:fresh], next_run, out=count_buf[:fresh])
-            np.put(run, refill, new_runs, mode="clip")
-            np.put(state, refill, _run_states(base, new_runs, u64_buf[:fresh]), mode="clip")
+            run[refill] = lane_ids[:fresh] + next_run
+            state[refill] = _run_states(base, run[refill])
             next_run += fresh
-            if fresh < d:
+            if fresh < done.size:
                 # No run is left for the other finished lanes: retire them and
                 # pack the live lanes, in order, to the front.
-                np.logical_not(mask, out=mask)
-                np.put(mask, refill, True, mode="clip")
-                keep = np.flatnonzero(mask)
+                live = np.ones(k, dtype=bool)
+                live[done[fresh:]] = False
+                keep = np.flatnonzero(live)
                 k = keep.size
-                for lane_array, scratch in (
-                    (run, j_buf), (i, j_buf), (state, u64_buf),
-                    (total, cost_buf), (cycles, cost_buf),
-                ):
-                    lane_array[:k] = np.take(lane_array, keep, out=scratch[:k], mode="clip")
+                for lane_array in (run, i, state, total, cycles):
+                    lane_array[:k] = lane_array[keep]
     for lane in range(k):
         start = (int(i[lane]), float(total[lane]), int(cycles[lane]))
         outcomes = _sampled_outcomes(p, RunStream.at(int(state[lane])))

@@ -502,9 +502,9 @@ def scenario_from_dict(data: object) -> Scenario:
         }
         plan = TaskPlan.uniform(n, _require_number(data["p_a"], "p_a"), **costs)
 
-    if provenance is None:
-        provenance = _fill_provenance("config file")
-    scenario = Scenario(name, plan, description, dict(provenance))
+    # a field the config gives no note for came from the config file
+    provenance = _fill_provenance("config file") | (provenance or {})
+    scenario = Scenario(name, plan, description, provenance)
     validate_plan(scenario.plan)
     return scenario
 

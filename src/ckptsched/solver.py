@@ -188,8 +188,13 @@ class SolveResult:
     """Optimal values and policy of a plan.
 
     value[i] is the expected user time from verified state i under optimal
-    behaviour (value[N] = 0) and policy.next_ckpt[i] the smallest j attaining
-    it. solve() does not build the table of T[i, j]; table_rows() yields it.
+    behaviour (value[N] = 0). policy.next_ckpt[i] is the earliest j with the
+    row's smallest candidate v_j = a(i, j) / p_a (module docstring), taken
+    before a value below 0 is clamped to 0. So it need not be the smallest j
+    attaining value[i]: where candidates round below 0, an earlier j can
+    clamp to the same 0, and a T[i, j] cell, which adds (1 - p_a) V[i] to
+    a(i, j), can round candidates that differ to equal cells. solve() does
+    not build the table of T[i, j]; table_rows() yields it.
     """
 
     value: np.ndarray

@@ -24,7 +24,7 @@ from ckptsched.cli import (
     EXIT_USAGE,
     main,
 )
-from ckptsched.scenarios import LOCATIONS, MAX_STEPS, SWEEP_AXES, fig4_scenario
+from ckptsched.scenarios import LOCATIONS, MAX_STEPS, SWEEP_AXES, fig4_scenario, load_scenario
 
 from oracles import dense_solve_output, eager_table, random_plan, redo_then_free_steps
 
@@ -207,9 +207,10 @@ def test_eval_explicit_policy_vector(capsys):
 
 
 def test_eval_rejects_bad_policy(capsys):
-    code, _, err = run(capsys, "eval", "fig4", "--policy", "5,4,3,2,1")
-    assert code == EXIT_CONFIG
-    assert "next_ckpt" in err
+    for policy in ("5,4,3,2,1", "1,x"):
+        code, _, err = run(capsys, "eval", "fig4", "--policy", policy)
+        assert code == EXIT_CONFIG
+        assert "next_ckpt" in err
 
 
 def test_simulate_trace_deterministic(capsys, tmp_path):
@@ -255,15 +256,18 @@ def test_enumerate_cap_env_override(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("cap", ["0", "-1", str(MAX_ENUM_CAP + 1), "12"])
-def test_enumerate_cap_env_outside_its_range_is_config_error(capsys, monkeypatch, cap):
+@pytest.mark.parametrize("cap,message", [
+    pytest.param(cap, f"must lie in 1..{MAX_ENUM_CAP}", id=cap)
+    for cap in ("0", "-1", str(MAX_ENUM_CAP + 1), "12")
+] + [pytest.param("abc", "must be an integer, got 'abc'", id="abc")])
+def test_enumerate_cap_env_outside_its_range_is_config_error(capsys, monkeypatch, cap, message):
     """Above the stated maximum the command is refused at once, not run."""
     monkeypatch.setenv("CKPTSCHED_ENUM_CAP", cap)
     started = time.perf_counter()
     code, out, err = run(capsys, "enumerate", "shopping")
     assert time.perf_counter() - started < 1.0
     assert code == EXIT_CONFIG
-    assert f"must lie in 1..{MAX_ENUM_CAP}" in err
+    assert message in err
     assert out == ""
 
 
@@ -394,10 +398,39 @@ def test_missing_file_is_io_error(capsys):
 
 def test_bad_config_is_config_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"name": "x", "n": 2, "p_a": 0.9, "bogus": 1}')
-    code, _, err = run(capsys, "solve", str(path))
-    assert code == EXIT_CONFIG
-    assert "bogus" in err
+    for text, message in (
+        ('{"name": "x", "n": 2, "p_a": 0.9, "bogus": 1}', "bogus"),
+        ('{"name": "x", "steps": [3]}', "steps[0] must be an object"),
+        ('{"name": "x", "n": 2, "p_a": 0.9, "description": 5}', "'description' must be a string"),
+        ('{"name": "x", "n": 2, "p_a": 0.9, "provenance": {"n": 1}}', "'provenance' must map"),
+        ('{"name": "x", "n": 2, "steps": [{"p_a": 0.9}]}', "unknown key(s) ['n']"),
+    ):
+        path.write_text(text)
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == EXIT_CONFIG, text
+        assert message in err, text
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["eval", "--policy", "end"],
+    ["simulate", "--policy", "end", "--runs", "50"],
+    ["compare", "--runs", "50"],
+    ["sweep", "--axis", "p_a", "--values", "0.8,0.9"],
+    ["error-loc"],
+    ["enumerate"],
+], ids=lambda argv: argv[0])
+def test_config_with_partial_provenance_runs_in_every_command(capsys, tmp_path, argv):
+    """A config's provenance map may note some fields; the others are noted
+    as coming from the config file, as when the map is absent."""
+    path = tmp_path / "part.json"
+    path.write_text(json.dumps({"name": "part", "n": 4, "p_a": 0.9, "t_confirm": 1,
+                                "provenance": {"n": "mine"}}))
+    code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == EXIT_OK, err
+    provenance = load_scenario(str(path)).provenance
+    assert provenance["n"] == "mine"
+    assert provenance["p_a"] == provenance["t_redo"] == "config file"
 
 
 def test_invalid_plan_is_config_error(capsys, tmp_path):

@@ -393,6 +393,13 @@ def _slow_plan(p_a):
     return TaskPlan.uniform(2, p_a, t_confirm=1.0, t_redo=1.0)
 
 
+def _check_budget(plan, policy, runs):
+    """_check_budget as monte_carlo calls it, without playing the runs."""
+    widest = _widest(policy)
+    lanes = min(runs, max(1, _LANE_CELLS // widest))
+    oracle._check_budget([s.p_a for s in plan.steps], runs, widest, lanes)
+
+
 def test_expected_work_above_the_limits_is_a_typed_error():
     """A 2-step plan at p_a = 1e-6 expects 2e6 cycles per run; it is refused
     before any draw instead of running for minutes."""
@@ -404,19 +411,33 @@ def test_expected_work_above_the_limits_is_a_typed_error():
     with pytest.raises(SimulationBudgetError):
         monte_carlo(get_scenario("fig4").plan, Policy.end_only(5),
                     runs=MAX_EXPECTED_DRAWS // 5, seed=0)
-    # the limits leave room for criterion 3's calls: 10**6 fig4 runs
+    # 1.6e8 draws, under the draw limit, that would all be scalar intervals
+    with pytest.raises(SimulationBudgetError):
+        monte_carlo(TaskPlan.uniform(1, 1e-7, t_confirm=1.0), Policy.end_only(1), runs=16, seed=0)
+    # the limits leave room for criterion 3's calls (10**6 fig4 runs), for
+    # README's 1000 runs at p_a = 1.6e-4, and for 2 runs at p_a = 3e-5 that
+    # the scalar simulator plays in under a second
     fig4 = get_scenario("fig4").plan
-    oracle._check_budget([s.p_a for s in fig4.steps], 10**6, _LANE_CELLS // fig4.n)
+    for policy in (solve(fig4).policy, Policy.end_only(5), Policy.every_step(5)):
+        _check_budget(fig4, policy, 10**6)
+    _check_budget(_slow_plan(1.6e-4), Policy.end_only(2), 1000)
+    _check_budget(_slow_plan(3e-5), Policy.end_only(2), 2)
     assert issubclass(SimulationBudgetError, InvalidPlanError)  # exit 3
 
 
 def test_runs_far_above_their_mean_hit_the_pass_cap(monkeypatch):
+    """3 runs go straight to the scalar simulator, whose cycle cap stops
+    them; 20 runs fill the pool, whose pass cap stops it."""
     monkeypatch.setattr(oracle, "MAX_PASSES", 20)
     plan = _slow_plan(0.01)  # 198 cycles per run expected
     with pytest.raises(SimulationBudgetError):
-        monte_carlo(plan, Policy.end_only(2), runs=3, seed=0)
-    with pytest.raises(SimulationBudgetError):
         simulate_run(plan, Policy.end_only(2), seed=0)
+    lanes, _ = _record_play(monkeypatch)
+    for runs, passes in ((3, 0), (20, 20)):
+        lanes.clear()
+        with pytest.raises(SimulationBudgetError):
+            monte_carlo(plan, Policy.end_only(2), runs=runs, seed=0)
+        assert len(lanes) == passes
 
 
 @pytest.mark.parametrize("flag", [False, True])
@@ -587,12 +608,16 @@ def test_tree_walk_equals_product_loop(kind):
 def test_enumerate_clamps_values_as_solve_does(p_a):
     """On free steps after a redo cost, where the kernel rounds values of 0
     to tiny negatives, brute force prices each policy with the clamped
-    values of the policy's own pass, so its optimum is solve's to the bit."""
-    for n in range(5, 9):
-        plan = redo_then_free_steps(p_a, n - 1)
-        for flag in (False, True):
-            got = enumerate_policies(plan, flag).best_value
-            assert got.hex() == solve(plan, flag).value[0].hex(), (n, flag)
+    values of the policy's own pass, so its optimum is solve's to the bit.
+    After a sure first step the leaves' own values round below 0 too."""
+    for n in range(3, 9):
+        for plan in (
+            redo_then_free_steps(p_a, n - 1),
+            TaskPlan([StepModel(1.0, t_redo=0.1)] + [StepModel(p_a)] * (n - 1)),
+        ):
+            for flag in (False, True):
+                got = enumerate_policies(plan, flag).best_value
+                assert got.hex() == solve(plan, flag).value[0].hex(), (n, flag)
 
 
 def test_enumerate_prices_every_policy_at_the_cap():

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckptsched import (
@@ -420,6 +420,36 @@ def test_rows_stop_again_right_after_rows_that_never_stop(monkeypatch):
     _assert_rows_are_whole_row_minima(plan, False)
 
 
+@pytest.mark.parametrize("flag", [False, True])
+def test_chunked_rows_double_their_width_until_the_bound_closes(flag):
+    """solve() hands _chunked_row the width the row before needed plus 2,
+    which the plans tried so far never leave short of a closing bound; from
+    widths 1, 2 and 3 it has to double. On rows of 60-200 cells it returns
+    the whole row's minimum and argmin bit for bit, and need is the first
+    cell whose bound closes, or every cell of a row whose bound never does."""
+    rng = random.Random(60 + flag)
+    for k in range(30):
+        n = rng.randint(60, 200)
+        lo, hi = ((0.85, 0.999), (0.99, 1.0), (1.0, 1.0))[k % 3]
+        plan = TaskPlan(StepModel(rng.uniform(lo, hi), *(rng.uniform(0, 10) for _ in range(4)))
+                        for _ in range(n))
+        value = solve(plan, flag).value
+        cols = solver._Columns(plan)
+        i = rng.randint(0, n - 60)
+        m = max(cols.tc) + cols.td_sum[n] + cols.tr_sum[n] + max(value[i + 1:])
+        if flag:
+            m += max(cols.tcor)
+        tau = solver._TAU_C * (n + 2) * 2.0**-52 * (m + 2.0**-1022)
+        a_row, acc_err, redo = solver._long_row_costs(i, n, cols, value, flag)
+        best, offset = solver._row_min(a_row, cols.p[i])
+        bound = acc_err + redo
+        closed = (bound > best * cols.p[i] + tau) & (bound < math.inf)
+        need = int(closed.argmax()) + 1 if closed.any() else n - i
+        for width in (1, 2, 3):
+            got_best, got_offset, got_need = solver._chunked_row(i, n, cols, value, flag, tau, width)
+            assert (got_best.hex(), got_offset, got_need) == (best.hex(), offset, need), (k, width)
+
+
 # ---------------------------------------------------------------------------
 # interval_cost() (tests/oracles.py)
 # ---------------------------------------------------------------------------
@@ -615,13 +645,21 @@ def test_policy_self_consistency(plan, flag):
 
 @given(plan_strategy, st.booleans())
 @settings(max_examples=100, deadline=None)
+# two candidates one ulp apart whose T cells round to the same float
+@example(TaskPlan([StepModel(0.5)] * 4 + [StepModel(0.5, t_redo=0.8742818940650036)]), False)
 def test_row_minimum_structure(plan, flag):
     result = solve(plan, flag)
+    cols = solver._Columns(plan)
+    value = result.value.tolist()
     for i, row in enumerate(solver.table_rows(plan, result)):
         j = result.policy.next_ckpt[i]
         assert result.value[i] == pytest.approx(np.nanmin(row), rel=1e-12)
-        # smallest argmin wins ties
-        assert j - i - 1 == int(np.nanargmin(row))
+        assert row[j - i - 1] == pytest.approx(np.nanmin(row), rel=1e-12)
+        # the earliest argmin of the candidates v_j = a(i, j) / p_a wins
+        # ties; a T cell adds (1 - p_a) V[i] to a(i, j), which can round
+        # candidates that differ to equal cells
+        candidates = np.asarray(solver._row_costs(i, plan.n, cols, value, flag)) / cols.p[i]
+        assert j - i - 1 == int(np.nanargmin(candidates))
 
 
 def test_scaling_covariance_exact_power_of_two(fig4_plan):
