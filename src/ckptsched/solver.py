@@ -43,49 +43,87 @@ Both bodies add the terms of a cell in the same order and numpy's 1-D
 accumulations run in order, so they return the same floats bit for bit, and
 the cut moves only the run time.
 
-solve() prices each row only as far as it must. Write lb(i, J) for the last
-two terms of cell J, the running error sum plus the redo tail:
+solve() prices each row only as far as it must. Its stop rule rests on a
+lemma: if V[i+1..N] are solve()'s own whole-row minima, then
 
-    lb(i, J) = acc_err(i, J) + acc_q(i, J) * TR[J]
-             = sum over m in i+1..J of q(m) * (TD(i+1..m) + t_correct_m
-                                               + V[m - 1] + TR(m..J)).
+    a(i, j) >= a(i, J) - t_confirm_J    for i < J < j <= N,
 
-Every later cell is at least as large, a(i, j) >= lb(i, J) for j > J, in
-real arithmetic on the same float inputs: a(i, j) - lb(i, J) is t_confirm_j
-+ S(i, j) V[j] + the error terms of m = J+1..j + acc_q(i, J) TR(J+1..j), and
-each of these is >= 0, because validate_plan makes every cost finite and
->= 0, a float prefix sum of non-negative numbers never decreases, and V >= 0
-(see below). So once
+in real arithmetic on the same float inputs. Confirming at J costs
+t_confirm_J, and the confirmation can only help what follows.
 
-    lb(i, J) is finite and lb(i, J) > best_a + tau,
+Proof. Write S = S(i, J), Q = acc_q(i, J) and lb(i, J) for the last two
+terms of cell J, the running error sum plus the redo tail:
+
+    lb(i, J) = acc_err(i, J) + Q TR[J]
+             = sum over m in i+1..J of q(m) (TD(i+1..m) + t_correct_m
+                                             + V[m - 1] + TR(m..J)),
+
+so that a(i, J) = t_confirm_J + S V[J] + lb(i, J). In cell j > J the error
+terms of m <= J add up to lb(i, J) + Q TR(J+1..j). For m > J the
+first-error mass is S q_J(m), with q_J(m) that of row J, and S(i, j) =
+S S(J, j), so the rest of cell j, beyond t_confirm_j, is S times
+
+    R = S(J, j) V[j] + sum over m in J+1..j of q_J(m) (TD(i+1..m)
+            + t_correct_m + V[m - 1] + TR(m..j)).
+
+Row J's cell T[J, j] = a(J, j) + (1 - p_{J+1}) V[J] is t_confirm_j plus R
+with TD(J+1..m) in place of TD(i+1..m): its m = J+1 term, q_J(J+1) V[J],
+is the self term. validate_plan makes every cost finite and >= 0, and a
+float prefix sum of non-negative numbers never decreases, so TD(i+1..m) >=
+TD(J+1..m) and R >= T[J, j] - t_confirm_j. V[J] is row J's smallest
+a(J, k) / p_{J+1}, so p_{J+1} V[J] <= a(J, j) (Bellman at J), that is
+T[J, j] >= V[J]. Hence, as Q TR(J+1..j) >= 0 and S <= 1,
+
+    a(i, j) >= t_confirm_j + lb(i, J) + Q TR(J+1..j) + S (V[J] - t_confirm_j)
+            >= a(i, J) - t_confirm_J + (1 - S) t_confirm_j
+            >= a(i, J) - t_confirm_J.
+
+The precondition is Bellman at every J > i. The error terms alone,
+lb(i, J), bound every later cell for any V >= 0, but they close only once
+S(i, J) has fallen to about 0.1: after 25-30 cells on plans with p_a in
+[0.85, 0.999], whose rows have their argmin at cell 3 on average. solve()
+prices rows from N-1 down, each its whole row's minimum, so every V a row
+reads meets the precondition. ``_stream_row`` and ``_chunked_row`` must
+never be called with any other V, except with tau = inf, which never stops
+a row.
+
+So once, at a cell J that does not improve the row's best,
+
+    a(i, J) - t_confirm_J is finite and > best_a + tau,
 
 with best_a the a-cell of the row's current argmin, every later cell has
 a(i, j) > best_a, so v_j = a(i, j) / p_next >= best (correctly rounded
-division is monotone), and the row's earliest argmin stands. The row stops
-at J with the minimum and argmin of the whole row bit for bit: the cells it
-priced are the whole row's, since a row streams left to right, NaN never
-wins and the earliest offset wins ties. A row whose best, lb or tau is not
-finite never stops, so an overflow still ends in PlanOverflowError.
+division is monotone), and the row's earliest argmin stands. A cell that
+improves the best cannot close the row, as a(i, J) - t_confirm_J <= a(i, J)
+< best_a. The row stops at J with the minimum and argmin of the whole row
+bit for bit: the cells it priced are the whole row's, since a row streams
+left to right, NaN never wins and the earliest offset wins ties. A row whose
+best, a(i, J) - t_confirm_J or tau is not finite never stops, so an overflow
+still ends in PlanOverflowError.
 
-tau bounds the rounding in a and lb. Let u = 2**-53 and
+tau bounds the rounding. Let u = 2**-53 and
 
     M = max t_confirm + max t_correct (if charged) + TD[N] + TR[N]
         + max V[i+1..N].
 
-The first-error masses sum to at most 1, every term of a cell is at most M
-in size and every partial sum at most 3M, and a survival product or a
-first-error mass carries at most N + 2 roundings. Counting roundings term by
-term, |a - a_exact| <= (5N + 15) u M and |lb - lb_exact| <= (4N + 9) u M;
-best_a <= M, and forming best_a + tau adds at most 2 u M. In all that is
-less than 7 (N + 2) 2**-52 M, and
+S(i, j) and the first-error masses of cell j sum to 1, so a cell is at most
+M; every term of a cell is at most M in size and every partial sum at most
+3M, and a survival product or a first-error mass carries at most N + 2
+roundings. Counting roundings term by term, |a - a_exact| <= (5N + 15) u M
+for each cell. The stop test meets three such cells: a(i, j) and a(i, J),
+and a(J, j) through Bellman at J, which in floats reads p_{J+1} V[J] <=
+a(J, j) (1 + u), since the division and the argmin's comparisons are
+monotone (a V[J] clamped up to 0 gives p_{J+1} V[J] = 0 <= a_exact(J, j));
+S <= 1 scales that slack. Add u M for that division, u M for forming
+a(i, J) - t_confirm_J and 2 u M for forming best_a + tau. The numpy body
+tests the last cell of a prefix against best * p_next + tau, which is below
+best_a + tau by at most 2 u best_a. In all that is (15N + 51) u M, and
 
-    tau = 64 (N + 2) 2**-52 (M + 2**-1022)
+    tau = 64 (N + 2) 2**-52 (M + 2**-1022) = 128 (N + 2) u (M + 2**-1022)
 
-leaves a factor of 9 for the rounding of M itself and for the count; the
-2**-1022 covers gradual underflow, whose absolute error is at most 2**-1075
-per rounding. The numpy body tests the bound at the last cell of a prefix
-against best * p_next + tau, which is below best_a + tau by at most
-2 u best_a, inside the same margin.
+exceeds it by a factor of at least 5.8 (at N = 1; 8.5 as N grows) for the
+rounding of M itself and for the count; the 2**-1022 covers gradual
+underflow, whose absolute error is at most 2**-1075 per rounding.
 
 The kernel's redo sums subtract a prefix and add it back, so on zero-cost
 steps after a step with a redo cost, a value that is 0 in real arithmetic
@@ -147,10 +185,12 @@ ROW_CUT = 28
 # many; the numpy body then prices the row from twice the width. A streamed
 # row (about 0.3 us per cell) and a numpy prefix of the same width cost the
 # same, 11-13 us, at 36-40 cells. The cut sits above that because a stream
-# that gives up was paid for nothing: on 1000-step plans with p in
-# [0.85, 0.999], whose rows stop after 29 cells on average and 46 at most,
-# 48 solved 4-6% faster than 40 in two sets of interleaved runs (same
-# machine).
+# that gives up was paid for nothing: 48 solved 4-6% faster than 40 in two
+# sets of interleaved runs (same machine) on 1000-step plans with p in
+# [0.85, 0.999], while their rows stopped on the error terms alone, after 29
+# cells on average and 46 at most. They now stop after 5.8 cells on average
+# and 11 at most, and rows with p in [0.99, 0.9999] after 13.5 and 24, so
+# none of these rows gives up a stream.
 STREAM_CELLS = 48
 
 # c of the stopping tolerance tau = c (N + 2) 2**-52 (M + 2**-1022); the
@@ -250,7 +290,7 @@ def _row_costs(
     dominance checks rely on that.
     """
     if upto - i >= ROW_CUT:
-        return _long_row_costs(i, upto, cols, value, include_correct_cost)[0]
+        return _long_row_costs(i, upto, cols, value, include_correct_cost)
     p, tc, tcor, td_sum, tr_sum = cols.lists
     out = []
     surv = 1.0  # survival through steps i+1..j-1
@@ -279,13 +319,10 @@ def _long_row_costs(
     cols: _Columns,
     value: Sequence[float],
     include_correct_cost: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The numpy body of _row_costs: the scalar loop's operations, in its
     order, applied to whole rows (products commute exactly in IEEE
-    arithmetic; only the grouping of sums matters, and it is kept).
-
-    Returns the cells with their two last terms, the error sum and the redo
-    tail, whose sum is the lower bound solve() stops rows with."""
+    arithmetic; only the grouping of sums matters, and it is kept)."""
     p, fail, tc, tcor, td_sum, tr_sum = cols.arrays
     v = np.asarray(value[i + 1 : upto + 1], dtype=float)  # V[j], j = i+1..upto
     surv = np.multiply.accumulate(p[i:upto])  # survival through steps i+1..j
@@ -307,14 +344,15 @@ def _long_row_costs(
     out = tc[i:upto] + surv
     out += acc_err
     out += acc_q
-    return out, acc_err, acc_q
+    return out
 
 
 def _row_min(a_row: list[float] | np.ndarray, p_next: float) -> tuple[float, int]:
     """The smallest v_j = a(i, j) / p_next of a row and its offset j - i - 1.
 
     The earliest offset wins ties and NaN never wins; the offset is -1 when
-    no candidate is finite.
+    no candidate is finite. ``a_row`` is left as it is: _chunked_row reads
+    its cells again once its bound closes.
     """
     if isinstance(a_row, list):
         best = math.inf
@@ -325,7 +363,7 @@ def _row_min(a_row: list[float] | np.ndarray, p_next: float) -> tuple[float, int
                 best = v_j
                 best_offset = offset
         return best, best_offset
-    a_row /= p_next
+    a_row = a_row / p_next
     k = int(a_row.argmin())
     best = float(a_row[k])
     if math.isnan(best):  # argmin stops at the first NaN; rank NaN as +inf
@@ -404,7 +442,8 @@ def _stream_row(
     of cells priced; None if the row goes on past ``upto`` and its bound has
     not closed. The cells are those of _row_costs' scalar body, bit for bit,
     and the argmin rule is _row_min's: strict <, so NaN never wins and the
-    earliest offset wins ties.
+    earliest offset wins ties. ``value`` must hold solve()'s own V[i+1..N],
+    the stop rule's precondition, unless tau is inf.
     """
     p, tc, tcor, td_sum, tr_sum = cols.lists
     n = len(p)
@@ -429,8 +468,7 @@ def _stream_row(
         acc_err += q * term
         acc_q += q
         surv *= p_j
-        redo = acc_q * tr_sum[j]
-        a_ij = tc[j - 1] + surv * value[j] + acc_err + redo
+        a_ij = tc[j - 1] + surv * value[j] + acc_err + acc_q * tr_sum[j]
         if a_ij < best_a:  # else v_j >= best: division is monotone
             v_j = a_ij / p_next
             if v_j < best:
@@ -438,7 +476,7 @@ def _stream_row(
                 best_a = a_ij
                 best_offset = j - first
                 limit = a_ij + tau
-        elif limit < acc_err + redo < inf:  # lb(i, j) closes the row
+        elif limit < a_ij - tc[j - 1] < inf:  # the stop lemma closes the row
             return best, best_offset, j - i
     if upto < n:
         return None
@@ -457,17 +495,20 @@ def _chunked_row(
     """(best, offset, need) of row i from numpy-body prefixes of ``width``
     cells, doubling the width until the bound at a prefix's last cell closes
     the row or the prefix is the whole row. need counts the cells up to the
-    first whose bound closes, or all of them; it sizes the next row."""
+    first whose bound closes, or all of them; it sizes the next row. As for
+    _stream_row, ``value`` must hold solve()'s own V[i+1..N] unless tau is
+    inf."""
     p_next = cols.p[i]
     while True:
         upto = i + width
         if upto >= n:
             upto = n
-        a_row, acc_err, redo = _long_row_costs(i, upto, cols, value, include_correct_cost)
+        a_row = _long_row_costs(i, upto, cols, value, include_correct_cost)
+        last = a_row[-1] - cols.tc[upto - 1]
         best, offset = _row_min(a_row, p_next)
         limit = best * p_next + tau
-        if limit < acc_err[-1] + redo[-1] < math.inf:
-            closed = np.add(acc_err, redo, out=acc_err) > limit
+        if limit < last < math.inf:
+            closed = np.subtract(a_row, cols.arrays[2][i:upto], out=a_row) > limit
             return best, offset, int(closed.argmax()) + 1
         if upto == n:
             return best, offset, n - i

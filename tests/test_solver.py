@@ -246,9 +246,12 @@ def test_solve_does_not_build_the_table():
 
 def _tight_steps(rng, n):
     """n steps ending in a run of p_a = 1 steps with t_redo = 0, the last
-    with t_confirm = 0: for a row that starts before the run, cell N equals
-    lb(i, J) bit for bit at every J in the run, so a row stopped on any
-    weaker bound than lb > best + tau loses cell N where it wins."""
+    with t_confirm = 0. V = 0 on the run, whose states finish at no cost, so
+    the S(i, J) V[J] term of the bound adds nothing there: for a row that
+    starts before the run, cell N equals a(i, J) - t_confirm_J at every J in
+    the run, up to the rounding of adding t_confirm_J and taking it back.
+    So a row stopped on any bound above a(i, J) - t_confirm_J + tau loses
+    cell N where it wins."""
     tail = rng.randint(1, n)
     steps = [StepModel(rng.uniform(0.3, 1.0), *(rng.uniform(0, 10) for _ in range(4)))
              for _ in range(n - tail)]
@@ -327,6 +330,40 @@ def test_stopped_rows_equal_whole_rows_bit_for_bit(n, flag):
         _assert_rows_are_whole_row_minima(TaskPlan(steps), flag)
 
 
+def _row_tau(cols, value, i, flag):
+    """solve()'s tau for row i (module docstring of ckptsched.solver)."""
+    n = len(cols.p)
+    m = max(cols.tc) + cols.td_sum[n] + cols.tr_sum[n] + max(value[i + 1:])
+    if flag:
+        m += max(cols.tcor)
+    return solver._TAU_C * (n + 2) * 2.0**-52 * (m + 2.0**-1022)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("n", [5, 29, 64, 130])
+def test_a_cell_less_its_confirm_time_bounds_every_later_cell(n, flag):
+    """The lemma the stop rule rests on, checked on whole rows apart from
+    the stopping loop: with V from solve(), a(i, j) >= a(i, J) - t_confirm_J
+    - tau for every i < J < j <= N wherever both are finite."""
+    rng = random.Random(n)
+    for steps in _stop_rule_plans(rng, n):
+        plan = TaskPlan(steps)
+        try:
+            value = solve(plan, flag).value.tolist()
+        except PlanOverflowError:
+            continue
+        cols = solver._Columns(plan)
+        with np.errstate(all="ignore"):
+            for i in range(n - 1):
+                a_row = np.array(solver._row_costs(i, n, cols, value, flag))
+                bound = a_row - np.array(cols.tc[i:n])
+                bound[~np.isfinite(bound)] = -math.inf
+                earlier = np.maximum.accumulate(bound)[:-1]
+                later = a_row[1:]
+                held = (later >= earlier - _row_tau(cols, value, i, flag)) | ~np.isfinite(later)
+                assert held.all(), (steps, i, int(held.argmin()))
+
+
 @pytest.mark.parametrize("flag", [False, True])
 def test_stop_rule_is_exact_on_the_tight_family(flag):
     """The family where a later cell meets the bound with equality."""
@@ -363,7 +400,7 @@ def test_stopping_loop_cells_equal_the_scalar_body(flag):
 
 def test_solve_prices_a_bounded_number_of_cells(monkeypatch):
     """A deterministic guard against rows sliding back to full length: on a
-    1000-step plan with p in [0.85, 0.999] a row stops after about 30 cells,
+    1000-step plan with p in [0.85, 0.999] a row stops after about 6 cells,
     where whole rows average 500."""
     rng = random.Random(1000)
     n = 1000
@@ -387,6 +424,37 @@ def test_solve_prices_a_bounded_number_of_cells(monkeypatch):
     monkeypatch.setattr(solver, "_long_row_costs", counting_long_row_costs)
     solve(plan)
     assert n <= cells <= 64 * n
+
+
+@pytest.mark.parametrize("n, p_lo, p_hi, per_step", [
+    (1000, 0.85, 0.999, 8),  # 5.6 cells per row measured
+    (4000, 0.99, 0.9999, 20),  # 13.5 cells per row measured
+])
+def test_rows_stop_a_few_cells_past_their_argmin(monkeypatch, n, p_lo, p_hi, per_step):
+    """A guard on the stop rule's reach: a row's argmin sits within a few
+    cells of its start on these plans, and the row stops soon after it. The
+    1000-step plan is test_solve_prices_a_bounded_number_of_cells' plan."""
+    rng = random.Random(n)
+    plan = TaskPlan(StepModel(rng.uniform(p_lo, p_hi), *(rng.uniform(0, 10) for _ in range(4)))
+                    for _ in range(n))
+    cells = 0
+    stream_row, long_row_costs = solver._stream_row, solver._long_row_costs
+
+    def counting_stream_row(i, upto, *args):
+        nonlocal cells
+        row = stream_row(i, upto, *args)
+        cells += upto - i if row is None else row[2]
+        return row
+
+    def counting_long_row_costs(i, upto, *args):
+        nonlocal cells
+        cells += upto - i
+        return long_row_costs(i, upto, *args)
+
+    monkeypatch.setattr(solver, "_stream_row", counting_stream_row)
+    monkeypatch.setattr(solver, "_long_row_costs", counting_long_row_costs)
+    solve(plan)
+    assert n <= cells <= per_step * n
 
 
 def test_rows_stop_again_right_after_rows_that_never_stop(monkeypatch):
@@ -426,7 +494,8 @@ def test_chunked_rows_double_their_width_until_the_bound_closes(flag):
     which the plans tried so far never leave short of a closing bound; from
     widths 1, 2 and 3 it has to double. On rows of 60-200 cells it returns
     the whole row's minimum and argmin bit for bit, and need is the first
-    cell whose bound closes, or every cell of a row whose bound never does."""
+    cell J whose bound a(i, J) - t_confirm_J closes, or every cell of a row
+    whose bound never does."""
     rng = random.Random(60 + flag)
     for k in range(30):
         n = rng.randint(60, 200)
@@ -436,13 +505,10 @@ def test_chunked_rows_double_their_width_until_the_bound_closes(flag):
         value = solve(plan, flag).value
         cols = solver._Columns(plan)
         i = rng.randint(0, n - 60)
-        m = max(cols.tc) + cols.td_sum[n] + cols.tr_sum[n] + max(value[i + 1:])
-        if flag:
-            m += max(cols.tcor)
-        tau = solver._TAU_C * (n + 2) * 2.0**-52 * (m + 2.0**-1022)
-        a_row, acc_err, redo = solver._long_row_costs(i, n, cols, value, flag)
+        tau = _row_tau(cols, value, i, flag)
+        a_row = solver._long_row_costs(i, n, cols, value, flag)
+        bound = a_row - np.array(cols.tc[i:n])
         best, offset = solver._row_min(a_row, cols.p[i])
-        bound = acc_err + redo
         closed = (bound > best * cols.p[i] + tau) & (bound < math.inf)
         need = int(closed.argmax()) + 1 if closed.any() else n - i
         for width in (1, 2, 3):
