@@ -9,12 +9,26 @@ that follows a failed confirmation.
 
 Everything here is immutable after validation and safe to share across
 threads; all operations are pure functions.
+
+A plan validates itself once: ``TaskPlan.columns`` checks every step and
+holds the plan's per-step columns, 1 - p_a and the diagnose and redo prefix
+sums as tuples, built on first use and kept for the plan's lifetime. The
+solver, brute force and the simulators read that one set, so pricing a
+plan's optimal schedule after solving it checks the plan no second time. An
+invalid plan raises on every use, as nothing is kept. The checks run a few
+whole-column reductions (a column's sum is finite exactly when every entry
+is, barring an overflow of the sum); when any of them fails, a per-step
+loop runs instead, so an error keeps its class, its message and the first
+step it names.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
 
 
@@ -64,6 +78,16 @@ class StepModel:
     t_redo: float = 0.0
 
 
+# collections.namedtuple, not typing.NamedTuple, whose string annotations
+# cost every CLI start about 0.5 ms to compile
+PlanColumns = namedtuple("PlanColumns", "p fail tc td tcor tr td_sum tr_sum")
+PlanColumns.__doc__ = """A valid plan's columns, tuples of floats: p (p_a),
+fail (1 - p_a), tc, td, tcor and tr (the four costs), each indexed by
+step - 1, and the prefix sums td_sum and tr_sum, indexed by state: td_sum[k]
+adds t_diagnose over steps 1..k from 0.0, one step at a time (likewise
+tr_sum for t_redo)."""
+
+
 @dataclass(frozen=True)
 class TaskPlan:
     """Ordered sequence of steps; step k connects state k-1 to state k."""
@@ -77,6 +101,34 @@ class TaskPlan:
     def n(self) -> int:
         """Number of steps (states run 0..n)."""
         return len(self.steps)
+
+    @cached_property
+    def columns(self) -> PlanColumns:
+        """The plan's columns, checked as validate_plan checks them on first
+        use and then kept (module docstring). Raises what validate_plan
+        raises, on every use."""
+        steps = self.steps
+        try:
+            cols = _split(steps)
+            valid = bool(steps) and _columns_ok(cols)
+        except (AttributeError, TypeError, ValueError, ArithmeticError):
+            # a field that is not a float; the per-step loop settles it
+            valid = False
+        if not valid:
+            # raises at the first bad step, unless every step is valid and
+            # only the sum of the finite costs overflowed
+            _check_steps(steps)
+        p, tc, td, tcor, tr = cols
+        return PlanColumns(
+            tuple(p),
+            tuple([1.0 - p_a for p_a in p]),
+            tuple(tc),
+            tuple(td),
+            tuple(tcor),
+            tuple(tr),
+            tuple(accumulate(td, initial=0.0)),
+            tuple(accumulate(tr, initial=0.0)),
+        )
 
     @classmethod
     def uniform(
@@ -105,7 +157,7 @@ class Policy:
     next_ckpt: tuple[int, ...]
 
     def __init__(self, next_ckpt: Iterable[int]) -> None:
-        object.__setattr__(self, "next_ckpt", tuple(int(j) for j in next_ckpt))
+        object.__setattr__(self, "next_ckpt", tuple(map(int, next_ckpt)))
 
     @property
     def n(self) -> int:
@@ -154,10 +206,42 @@ def validate_plan(plan: TaskPlan) -> TaskPlan:
 
     p_a = 0 is rejected (the expected completion time would diverge), p_a = 1
     is a legal deterministic step. All four costs must be finite and >= 0.
+    The checks are those of ``plan.columns``, which keeps the result.
     """
-    if plan.n == 0:
+    plan.columns
+    return plan
+
+
+def _split(
+    steps: tuple[StepModel, ...],
+) -> tuple[list[float], list[float], list[float], list[float], list[float]]:
+    """Per-field lists (p_a, t_confirm, t_diagnose, t_correct, t_redo)."""
+    return (
+        [s.p_a for s in steps],
+        [s.t_confirm for s in steps],
+        [s.t_diagnose for s in steps],
+        [s.t_correct for s in steps],
+        [s.t_redo for s in steps],
+    )
+
+
+def _columns_ok(cols: tuple[list[float], ...]) -> bool:
+    """Whether every p_a lies in (0, 1] and every cost is finite and >= 0,
+    by reductions over whole columns: a finite sum rules out inf and NaN.
+    False also where only the sum of all the finite costs overflows."""
+    p, tc, td, tcor, tr = cols
+    costs = tc + td + tcor + tr
+    return (
+        math.isfinite(sum(p)) and min(p) > 0.0 and max(p) <= 1.0
+        and math.isfinite(sum(costs)) and min(costs) >= 0.0
+    )
+
+
+def _check_steps(steps: tuple[StepModel, ...]) -> None:
+    """validate_plan's checks step by step, raising at the first bad one."""
+    if not steps:
         raise EmptyPlanError("plan must contain at least one step")
-    for k, step in enumerate(plan.steps, start=1):
+    for k, step in enumerate(steps, start=1):
         if not (0.0 < step.p_a <= 1.0):
             raise InvalidProbabilityError(
                 f"step {k}: p_a = {step.p_a!r} must lie in (0, 1]"
@@ -168,7 +252,6 @@ def validate_plan(plan: TaskPlan) -> TaskPlan:
                 raise NegativeCostError(
                     f"step {k}: {name} = {cost!r} must be finite and >= 0"
                 )
-    return plan
 
 
 def _check_interval(plan: TaskPlan, i: int, j: int, strict: bool) -> None:
@@ -240,24 +323,19 @@ def plan_columns(
     plan: TaskPlan,
 ) -> tuple[list[float], list[float], list[float], list[float], list[float]]:
     """Split a plan into per-field lists (p, t_confirm, t_diagnose, t_correct,
-    t_redo), each indexed by step-1. Shared by the solver and the simulator."""
-    p = [s.p_a for s in plan.steps]
-    tc = [s.t_confirm for s in plan.steps]
-    td = [s.t_diagnose for s in plan.steps]
-    tcor = [s.t_correct for s in plan.steps]
-    tr = [s.t_redo for s in plan.steps]
-    return p, tc, td, tcor, tr
+    t_redo), each indexed by step-1, without validating it. The library
+    reads ``plan.columns`` instead."""
+    return _split(plan.steps)
 
 
 def diagnose_redo_prefix_sums(
     plan: TaskPlan,
 ) -> tuple[list[float], list[float]]:
     """Prefix sums TD, TR with TD[k] = sum of t_diagnose over steps 1..k (and
-    likewise TR for t_redo), so interval sums become two lookups."""
-    n = plan.n
-    td = [0.0] * (n + 1)
-    tr = [0.0] * (n + 1)
-    for k in range(1, n + 1):
-        td[k] = td[k - 1] + plan.steps[k - 1].t_diagnose
-        tr[k] = tr[k - 1] + plan.steps[k - 1].t_redo
-    return td, tr
+    likewise TR for t_redo), so interval sums become two lookups. Not
+    validated; ``plan.columns`` holds the same sums as tuples."""
+    steps = plan.steps
+    return (
+        list(accumulate([s.t_diagnose for s in steps], initial=0.0)),
+        list(accumulate([s.t_redo for s in steps], initial=0.0)),
+    )

@@ -43,7 +43,6 @@ from .core import (
     PlanOverflowError,
     Policy,
     TaskPlan,
-    plan_columns,
     validate_plan,
 )
 from .solver import _Columns, _row_costs, _row_min
@@ -539,10 +538,11 @@ def _trace_from(
     outcomes: Callable[[int, int], Sequence[bool]],
     include_correct_cost: bool,
 ) -> SimTrace:
-    cols = plan_columns(plan)
+    cols = plan.columns
     events: list[TraceEvent] = []
     total, cycles = _run_cdcr(
-        *cols, policy.next_ckpt, outcomes, include_correct_cost, events
+        cols.p, cols.tc, cols.td, cols.tcor, cols.tr,
+        policy.next_ckpt, outcomes, include_correct_cost, events,
     )
     if not math.isfinite(total):
         raise PlanOverflowError("total user time of the run is not a finite float64")
@@ -565,7 +565,7 @@ def simulate_run(
     """
     validate_plan(plan)
     policy.validate_for(plan.n)
-    p = [s.p_a for s in plan.steps]
+    p = plan.columns.p
     events = (2 * plan.n + 3) * (1.0 + _expected_cycles(p))
     if events > MAX_EXPECTED_EVENTS:
         raise SimulationBudgetError(
@@ -614,8 +614,10 @@ def monte_carlo(
     policy.validate_for(plan.n)
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    cols = plan.columns
     totals, cycle_counts = _lockstep_runs(
-        *plan_columns(plan), policy.next_ckpt, runs, seed, include_correct_cost
+        cols.p, cols.tc, cols.td, cols.tcor, cols.tr,
+        policy.next_ckpt, runs, seed, include_correct_cost,
     )
     with np.errstate(all="ignore"):
         mean = float(totals.mean())

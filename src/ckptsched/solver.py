@@ -30,15 +30,19 @@ every error must be corrected exactly once whichever schedule is used, so the
 term is dropped from the optimization by default, and both variants are
 exposed so that claim can be checked rather than assumed.
 
-One kernel, ``_row_costs``, prices whole rows: for evaluate_policy() (via
-``_policy_values``), for brute force and for ``table_rows``.
-It streams a row left to right with a running survival product, running
-first-error sums and prefix sums of the diagnose and redo times, so a row
-costs O(upto - i). It has two bodies. Rows shorter than ``ROW_CUT`` run a
-scalar Python loop, which has no per-call set-up. Longer rows run a fixed
-sequence of whole-row numpy operations: the survival product is
-``np.multiply.accumulate`` and the two running sums are ``np.add.accumulate``
-(what ``np.cumprod`` and ``np.cumsum`` run, without their dispatch cost).
+One kernel, ``_row_costs``, prices whole rows: for brute force, for
+``table_rows`` and for evaluate_policy()'s long rows (via ``_policy_values``).
+Every caller reads the plan's inputs from its one column set,
+``TaskPlan.columns``, which validates the plan on first use and keeps the
+per-step columns, 1 - p_a and the prefix sums; ``_Columns`` adds float64
+arrays of them for the numpy body. The kernel streams a row left to right
+with a running survival product, running first-error sums and prefix sums
+of the diagnose and redo times, so a row costs O(upto - i). It has two
+bodies. Rows shorter than ``ROW_CUT`` run a scalar Python loop, which has no
+per-call set-up. Longer rows run a fixed sequence of whole-row numpy
+operations: the survival product is ``np.multiply.accumulate`` and the two
+running sums are ``np.add.accumulate`` (what ``np.cumprod`` and
+``np.cumsum`` run, without their dispatch cost).
 Both bodies add the terms of a cell in the same order and numpy's 1-D
 accumulations run in order, so they return the same floats bit for bit, and
 the cut moves only the run time.
@@ -145,7 +149,14 @@ the bound too, so the first row below a run of rows that never stop can
 stop, and the row below it stream, again.
 ``_stream_row`` keeps its own copy of the scalar cell formula, and a test
 pins it to ``_row_costs``' cell by cell: folding the two loops into one made
-brute force's 7-cell rows 18-37% slower and the stopped rows 1-10%.
+brute force's 7-cell rows 18-37% slower and the stopped rows 1-10%. Its
+first cell is peeled off the loop, which then has no V[j-1] or j > first
+test, and it reads 1 - p_a from the column set. ``_policy_values`` needs
+only a row's last cell, so on rows shorter than ``ROW_CUT`` it runs its own
+inline copy of the scalar loop, peeled the same way, which builds no list;
+a test pins its values to a pass that takes every row's last cell from
+``_row_costs``. Together with the column set, these made solve() and the
+price of its policy 0.65-0.71x as long on 500- to 10 000-step plans.
 
 solve() keeps V and the policy only. ``table_rows`` prices the table of
 T[i, j] one whole row at a time from the final V: row i reads only
@@ -164,14 +175,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import (
-    PlanOverflowError,
-    Policy,
-    TaskPlan,
-    diagnose_redo_prefix_sums,
-    plan_columns,
-    validate_plan,
-)
+from .core import PlanOverflowError, Policy, TaskPlan, validate_plan
 
 # Rows at least this long take the numpy body of _row_costs. The two bodies
 # cost the same, about 11 us, at a row of 28 (the scalar loop about 0.35 us
@@ -199,15 +203,17 @@ _TAU_C = 64
 
 
 class _Columns:
-    """A plan's inputs to the row kernel: per-step lists (index step - 1) and
-    prefix sums (index state) for the scalar body, and the same as float64
-    arrays, built on first use, for the numpy body."""
+    """A plan's inputs to the row kernel: the plan's own column set (per-step
+    columns, index step - 1, and prefix sums, index state) for the scalar
+    bodies, and the same as float64 arrays, built on first use, for the numpy
+    body. Reading the column set validates the plan, once per plan."""
 
     def __init__(self, plan: TaskPlan) -> None:
-        self.p, self.tc, _, self.tcor, _ = plan_columns(plan)
-        self.td_sum, self.tr_sum = diagnose_redo_prefix_sums(plan)
-        # the scalar body unpacks these in one step
-        self.lists = (self.p, self.tc, self.tcor, self.td_sum, self.tr_sum)
+        cols = plan.columns
+        self.p, self.fail, self.tc, self.tcor = cols.p, cols.fail, cols.tc, cols.tcor
+        self.td_sum, self.tr_sum = cols.td_sum, cols.tr_sum
+        # the scalar bodies unpack these in one step
+        self.lists = (self.p, self.fail, self.tc, self.tcor, self.td_sum, self.tr_sum)
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, ...]:
@@ -284,14 +290,15 @@ def _row_costs(
     the error branch, which accumulates weighted by q, and then
     ((t_confirm_j + survival * V[j]) + error sum) + (first-error mass) * tr[j],
     with each error's redo tail folded in at the end as that last product.
-    evaluate_policy() and table_rows() price rows through here, and solve()
-    through the same cells (its stopping loop and this numpy body), so a
-    fixed policy is charged bit-identically to the corresponding cells;
-    dominance checks rely on that.
+    table_rows() and evaluate_policy()'s long rows price rows through here,
+    and solve() and evaluate_policy()'s short rows through the same cells
+    (their own scalar loops, pinned to this one by tests, and this numpy
+    body), so a fixed policy is charged bit-identically to the corresponding
+    cells; dominance checks rely on that.
     """
     if upto - i >= ROW_CUT:
         return _long_row_costs(i, upto, cols, value, include_correct_cost)
-    p, tc, tcor, td_sum, tr_sum = cols.lists
+    p, _, tc, tcor, td_sum, tr_sum = cols.lists
     out = []
     surv = 1.0  # survival through steps i+1..j-1
     acc_q = 0.0  # total first-error mass over m <= j
@@ -376,7 +383,7 @@ def _row_min(a_row: list[float] | np.ndarray, p_next: float) -> tuple[float, int
 def solve(plan: TaskPlan, include_correct_cost: bool = False) -> SolveResult:
     """Optimal values and policy by the backwards recursion, one row per
     state, each row priced only until its bound rules out every later cell."""
-    validate_plan(plan)
+    validate_plan(plan)  # builds the plan's column set, or finds it built
     n = plan.n
     cols = _Columns(plan)
     value = [0.0] * (n + 1)
@@ -388,6 +395,7 @@ def solve(plan: TaskPlan, include_correct_cost: bool = False) -> SolveResult:
     if include_correct_cost:
         base += max(cols.tcor)
     v_max = 0.0
+    tau = scale * (base + v_max)
     # cells the row before priced until its bound closed, or its whole
     # length; it picks this row's body and first numpy width
     need = 0
@@ -396,7 +404,7 @@ def solve(plan: TaskPlan, include_correct_cost: bool = False) -> SolveResult:
             v = value[i + 1]
             if v > v_max:
                 v_max = v
-            tau = scale * (base + v_max)
+                tau = scale * (base + v_max)
             if need <= STREAM_CELLS:
                 row = _stream_row(
                     i, i + STREAM_CELLS, cols, value, include_correct_cost, tau
@@ -444,39 +452,62 @@ def _stream_row(
     and the argmin rule is _row_min's: strict <, so NaN never wins and the
     earliest offset wins ties. ``value`` must hold solve()'s own V[i+1..N],
     the stop rule's precondition, unless tau is inf.
+
+    The first cell is peeled off the loop: its survival is p_next and its
+    first-error mass 1 - p_next, exactly, and it has no V[j-1] term. Its
+    running sums skip the scalar body's leading 0.0 +, which can only turn
+    a -0.0 into +0.0, and a cell's last term, acc_q * tr[j], is never -0.0,
+    so every cell comes out the same. It cannot stop the row, whose limit
+    is still inf.
     """
-    p, tc, tcor, td_sum, tr_sum = cols.lists
+    p, fail, tc, tcor, td_sum, tr_sum = cols.lists
     n = len(p)
     if upto > n:
         upto = n
     p_next = p[i]
     inf = limit = best = best_a = math.inf
     best_offset = -1
-    surv = 1.0
-    acc_q = 0.0
-    acc_err = 0.0
     base_td = td_sum[i]
-    first = i + 1
-    for j in range(first, upto + 1):
-        p_j = p[j - 1]
-        q = surv * (1.0 - p_j)
-        term = td_sum[j] - base_td - tr_sum[j - 1]
+    acc_q = fail[i]
+    term = td_sum[i + 1] - base_td - tr_sum[i]
+    if include_correct_cost:
+        term += tcor[i]
+    acc_err = acc_q * term
+    surv = p_next
+    # v_j and tr_j carry V[j] and TR[j] of a cell into the next, whose error
+    # term reads them as V[j-1] and TR[j-1]
+    v_j = value[i + 1]
+    tr_j = tr_sum[i + 1]
+    a_ij = tc[i] + surv * v_j + acc_err + acc_q * tr_j
+    if a_ij < inf:
+        cand = a_ij / p_next
+        if cand < inf:
+            best = cand
+            best_a = a_ij
+            best_offset = 0
+            limit = a_ij + tau
+    for k in range(i + 1, upto):  # cell j = k + 1, step k + 1 at index k
+        j = k + 1
+        q = surv * fail[k]
+        term = td_sum[j] - base_td - tr_j
         if include_correct_cost:
-            term += tcor[j - 1]
-        if j > first:
-            term += value[j - 1]
+            term += tcor[k]
+        term += v_j
         acc_err += q * term
         acc_q += q
-        surv *= p_j
-        a_ij = tc[j - 1] + surv * value[j] + acc_err + acc_q * tr_sum[j]
-        if a_ij < best_a:  # else v_j >= best: division is monotone
-            v_j = a_ij / p_next
-            if v_j < best:
-                best = v_j
+        surv *= p[k]
+        t_confirm = tc[k]
+        v_j = value[j]
+        tr_j = tr_sum[j]
+        a_ij = t_confirm + surv * v_j + acc_err + acc_q * tr_j
+        if a_ij < best_a:  # else a_ij / p_next >= best: division is monotone
+            cand = a_ij / p_next
+            if cand < best:
+                best = cand
                 best_a = a_ij
-                best_offset = j - first
+                best_offset = k - i
                 limit = a_ij + tau
-        elif limit < a_ij - tc[j - 1] < inf:  # the stop lemma closes the row
+        elif limit < a_ij - t_confirm < inf:  # the stop lemma closes the row
             return best, best_offset, j - i
     if upto < n:
         return None
@@ -526,9 +557,10 @@ def evaluate_policy(
     """
     validate_plan(plan)
     policy.validate_for(plan.n)
+    cols = _Columns(plan)
     with _quiet(plan.n):
         values = np.array(_policy_values(
-            plan.n, policy.next_ckpt, _Columns(plan), include_correct_cost
+            plan.n, policy.next_ckpt, cols, include_correct_cost
         ))
     finite = np.isfinite(values)
     if not finite.all():
@@ -547,15 +579,17 @@ def _policy_values(
 ) -> list[float]:
     """Backwards pass for a fixed policy, list-in list-out.
 
-    Short rows read V from the list. Long rows read it from an array that
-    holds V[synced..N]: each long row copies in only the states it adds
-    below ``synced``, so every entry enters the array once, and a policy
-    whose rows are all short never builds it.
+    Each row prices its last cell only. A short row runs _row_costs' scalar
+    loop inline, its first cell peeled off as in _stream_row, and reads V
+    from the list. A long row takes _row_costs' numpy body and reads V from
+    an array that holds V[synced..N]: each long row copies in only the
+    states it adds below ``synced``, so every entry enters the array once,
+    and a policy whose rows are all short never builds it.
     """
     value = [0.0] * (n + 1)
     array = None
     synced = n + 1
-    p = cols.p
+    p, fail, tc, tcor, td_sum, tr_sum = cols.lists
     for i in range(n - 1, -1, -1):
         j = next_ckpt[i]
         if j - i >= ROW_CUT:
@@ -565,7 +599,23 @@ def _policy_values(
             synced = i + 1
             a_ij = _row_costs(i, j, cols, array, include_correct_cost)[-1]
         else:
-            a_ij = _row_costs(i, j, cols, value, include_correct_cost)[-1]
+            base_td = td_sum[i]
+            acc_q = fail[i]
+            term = td_sum[i + 1] - base_td - tr_sum[i]
+            if include_correct_cost:
+                term += tcor[i]
+            acc_err = acc_q * term
+            surv = p[i]
+            for k in range(i + 1, j):  # step k + 1 at index k
+                q = surv * fail[k]
+                term = td_sum[k + 1] - base_td - tr_sum[k]
+                if include_correct_cost:
+                    term += tcor[k]
+                term += value[k]
+                acc_err += q * term
+                acc_q += q
+                surv *= p[k]
+            a_ij = tc[j - 1] + surv * value[j] + acc_err + acc_q * tr_sum[j]
         v = a_ij / p[i]
         value[i] = 0.0 if v < 0.0 else v
     return value

@@ -4,15 +4,17 @@ Each function recomputes a quantity by a route the library does not take:
 plain product loops for the kernels, a direct double loop over one table
 cell instead of the streamed row kernel, a dense linear solve over a policy's
 state equations instead of the per-row closed form, and sweep-to-convergence
-fixed-point iteration instead of the algebraic fixed point. The second moment
-of a policy's user time, which the library does not compute, checks the
-simulators' spread. Three more share the row kernel but not its callers'
-bookkeeping: brute force that prices every policy by its own backwards pass
-instead of walking the policy tree, a policy pass that hands every row V as
-a list instead of one shared array, and a dense (N, N+1) table filled cell
-by cell during a backwards pass over whole rows, instead of rows that stop
-early and a table streamed from the final values. The table's reference text
-formats every cell into a dict before it lays out a line.
+fixed-point iteration instead of the algebraic fixed point. The plan checks
+and columns go step by step, where the library reduces whole columns. The
+second moment of a policy's user time, which the library does not compute,
+checks the simulators' spread. Three more share the row kernel but not its
+callers' bookkeeping: brute force that prices every policy by its own
+backwards pass instead of walking the policy tree, a policy pass that hands
+every row V as a list instead of one shared array, and a dense (N, N+1)
+table filled cell by cell during a backwards pass over whole rows, instead
+of rows that stop early and a table streamed from the final values. The
+table's reference text formats every cell into a dict before it lays out a
+line.
 """
 
 from __future__ import annotations
@@ -24,8 +26,54 @@ from typing import Sequence
 
 import numpy as np
 
-from ckptsched import IndexOutOfRangeError, Policy, StepModel, TaskPlan
+from ckptsched import (
+    EmptyPlanError,
+    IndexOutOfRangeError,
+    InvalidProbabilityError,
+    NegativeCostError,
+    Policy,
+    StepModel,
+    TaskPlan,
+)
 from ckptsched.solver import _Columns, _policy_values, _row_costs
+
+
+def ref_validate(plan: TaskPlan) -> None:
+    """The plan checks one step and one field at a time, raising at the
+    first bad one."""
+    if not plan.steps:
+        raise EmptyPlanError("plan must contain at least one step")
+    for k, step in enumerate(plan.steps, start=1):
+        if not (0.0 < step.p_a <= 1.0):
+            raise InvalidProbabilityError(
+                f"step {k}: p_a = {step.p_a!r} must lie in (0, 1]"
+            )
+        for name in ("t_confirm", "t_diagnose", "t_correct", "t_redo"):
+            cost = getattr(step, name)
+            if not (math.isfinite(cost) and cost >= 0.0):
+                raise NegativeCostError(
+                    f"step {k}: {name} = {cost!r} must be finite and >= 0"
+                )
+
+
+def ref_columns(plan: TaskPlan) -> dict[str, list[float]]:
+    """A plan's columns built step by step: p_a, 1 - p_a, the four costs,
+    and the diagnose and redo prefix sums, each a running total from 0.0."""
+    cols: dict[str, list[float]] = {
+        key: [] for key in ("p", "fail", "tc", "td", "tcor", "tr")
+    }
+    td_sum, tr_sum = [0.0], [0.0]
+    for step in plan.steps:
+        cols["p"].append(step.p_a)
+        cols["fail"].append(1.0 - step.p_a)
+        cols["tc"].append(step.t_confirm)
+        cols["td"].append(step.t_diagnose)
+        cols["tcor"].append(step.t_correct)
+        cols["tr"].append(step.t_redo)
+        td_sum.append(td_sum[-1] + step.t_diagnose)
+        tr_sum.append(tr_sum[-1] + step.t_redo)
+    cols["td_sum"], cols["tr_sum"] = td_sum, tr_sum
+    return cols
 
 
 def ref_survival(plan: TaskPlan, i: int, j: int) -> float:

@@ -63,6 +63,29 @@ def test_solve_with_correct_cost(capsys):
     assert "8.83" in out
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want byte for byte, reported at the first line that differs:
+    pytest's own diff of two ~300-row table texts runs for minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for k, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+        if g != w:
+            col = next(
+                (c for c, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w))
+            )
+            lo, hi = max(0, col - 40), col + 40
+            pytest.fail(
+                f"line {k} differs at column {col}: {g[lo:hi]!r} != {w[lo:hi]!r}",
+                pytrace=False,
+            )
+    pytest.fail(
+        f"the texts differ after line {min(len(got_lines), len(want_lines))}: "
+        f"{len(got_lines)} lines against {len(want_lines)}, or line ends differ",
+        pytrace=False,
+    )
+
+
 def _reference_plans():
     """fig4, random plans on both sides of the row kernel's cut, zero costs
     of both signs with cells that round to tiny negatives (clamped to 0),
@@ -114,8 +137,8 @@ def test_solve_text_equals_the_dense_reference(capsys, tmp_path, name, plan, fla
             continue
         want = dense_solve_output(name, value, policy, flag, table, precision)
         assert (code, err, file_code, file_out) == (EXIT_OK, "", EXIT_OK, "")
-        assert out == want
-        assert out_path.read_text(encoding="utf-8") == want
+        _assert_same_text(out, want)
+        _assert_same_text(out_path.read_text(encoding="utf-8"), want)
     if name == "overflow" and not flag:
         assert "inf" in out
 

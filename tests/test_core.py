@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,19 @@ from ckptsched import (
     Policy,
     StepModel,
     TaskPlan,
+    core,
+    enumerate_policies,
+    evaluate_policy,
     first_error_distribution,
+    monte_carlo,
     reachable_states,
+    solve,
     survival_probability,
     validate_plan,
 )
+from ckptsched.core import diagnose_redo_prefix_sums, plan_columns
 
-from oracles import ref_first_error, ref_survival
+from oracles import ref_columns, ref_first_error, ref_survival, ref_validate
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -87,6 +94,151 @@ def test_out_of_range_probability_rejected(bad):
 def test_bad_costs_rejected(field, bad):
     with pytest.raises(NegativeCostError):
         validate_plan(TaskPlan([StepModel(0.9, **{field: bad})]))
+
+
+# ---------------------------------------------------------------------------
+# The per-plan column set
+# ---------------------------------------------------------------------------
+
+GOOD_STEP = StepModel(0.9, 1.0, 2.0, 3.0, 4.0)
+
+
+def _bad_fields():
+    for bad in (0.0, -0.0, -0.5, 1.5, math.nan, math.inf, -math.inf, "0.5", None):
+        yield "p_a", bad
+    for field in ("t_confirm", "t_diagnose", "t_correct", "t_redo"):
+        for bad in (-1.0, -5e-324, math.inf, -math.inf, math.nan, "1", None):
+            yield field, bad
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001  (any class: it is compared)
+        return type(exc), str(exc)
+    return None
+
+
+def _users(plan):
+    """Every way into the plan checks: direct, and through each caller."""
+    end = Policy.end_only(plan.n)
+    return [
+        (validate_plan, plan),
+        (lambda p: p.columns, plan),
+        (solve, plan),
+        (evaluate_policy, plan, end),
+        (enumerate_policies, plan),
+        (monte_carlo, plan, end, 10, 0),
+    ]
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("field,bad", list(_bad_fields()))
+def test_each_invalid_field_raises_as_the_step_by_step_checks(field, bad, at):
+    """The class and message of the step-by-step checks, naming the first
+    bad step even when a later step is bad too."""
+    steps = [GOOD_STEP] * 5
+    steps[at] = replace(GOOD_STEP, **{field: bad})
+    if at < 4:
+        steps[4] = replace(GOOD_STEP, t_redo=-2.0)
+    plan = TaskPlan(steps)
+    want = _raised(ref_validate, plan)
+    assert want is not None
+    if want[0] is not TypeError:  # a non-number's TypeError names no step
+        assert want[1].startswith(f"step {at + 1}: ")
+    for fn, *args in _users(plan):
+        assert _raised(fn, *args) == want, fn
+
+
+def test_the_empty_plan_raises_as_the_step_by_step_checks():
+    plan = TaskPlan([])
+    want = _raised(ref_validate, plan)
+    assert want == (EmptyPlanError, "plan must contain at least one step")
+    for fn, *args in _users(plan):
+        assert _raised(fn, *args) == want, fn
+
+
+def _bits(column):
+    return [(type(x).__name__, float(x).hex()) for x in column]
+
+
+def _assert_columns_are_the_step_by_step_build(plan):
+    cols = plan.columns
+    want = ref_columns(plan)
+    assert set(cols._fields) == set(want)
+    for key, column in want.items():
+        got = getattr(cols, key)
+        assert type(got) is tuple and _bits(got) == _bits(column), key
+    # the public helpers keep their lists, and do not validate
+    assert [_bits(c) for c in plan_columns(plan)] == [
+        _bits(want[key]) for key in ("p", "tc", "td", "tcor", "tr")
+    ]
+    assert [_bits(c) for c in diagnose_redo_prefix_sums(plan)] == [
+        _bits(want["td_sum"]), _bits(want["tr_sum"])
+    ]
+    lists = plan_columns(plan) + diagnose_redo_prefix_sums(plan)
+    assert all(type(c) is list for c in lists)
+
+
+@pytest.mark.parametrize("steps", [
+    [StepModel(1.0, -0.0, -0.0, -0.0, -0.0)],
+    [StepModel(1.0)] * 3,
+    [StepModel(5e-324, 0.0, 5e-324, 0.0, 5e-324)] * 2,
+    # every cost finite, the columns' sums not
+    [StepModel(0.5, 1e308, 1e308, 1e308, 1e308)] * 3,
+    [StepModel(1, 0, 1, 2, 3), StepModel(0.5, True, 2, 0, 1)],
+], ids=["signed-zero", "certain", "subnormal", "overflowing-sums", "ints"])
+def test_edge_plans_stay_valid(steps):
+    plan = TaskPlan(steps)
+    assert validate_plan(plan) is plan
+    _assert_columns_are_the_step_by_step_build(plan)
+
+
+def test_an_invalid_plan_raises_on_every_use():
+    plan = TaskPlan([GOOD_STEP, replace(GOOD_STEP, t_redo=-1.0)])
+    for _ in range(3):
+        with pytest.raises(NegativeCostError, match="step 2: t_redo = -1.0"):
+            validate_plan(plan)
+        with pytest.raises(NegativeCostError, match="step 2: t_redo = -1.0"):
+            solve(plan)
+        assert "columns" not in vars(plan)
+
+
+def test_a_plan_is_split_once(monkeypatch):
+    """solve, the price of its policy, brute force and Monte Carlo check
+    and split the plan once between them."""
+    calls = 0
+    split = core._split
+
+    def counting_split(steps):
+        nonlocal calls
+        calls += 1
+        return split(steps)
+
+    monkeypatch.setattr(core, "_split", counting_split)
+    plan = TaskPlan([GOOD_STEP, replace(GOOD_STEP, p_a=0.5)] * 3)
+    result = solve(plan)
+    evaluate_policy(plan, result.policy)
+    validate_plan(plan)
+    enumerate_policies(plan)
+    monte_carlo(plan, result.policy, 10, 0)
+    assert calls == 1
+
+
+signed_costs = st.one_of(st.just(-0.0), st.floats(min_value=0.0, max_value=1e308))
+
+
+@given(st.lists(
+    st.builds(StepModel, p_a=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+              t_confirm=signed_costs, t_diagnose=signed_costs,
+              t_correct=signed_costs, t_redo=signed_costs),
+    min_size=1, max_size=30,
+))
+@settings(max_examples=200)
+def test_cached_columns_equal_a_step_by_step_build(steps):
+    plan = TaskPlan(steps)
+    assert validate_plan(plan) is plan
+    _assert_columns_are_the_step_by_step_build(plan)
 
 
 def test_uniform_constructor_expands():

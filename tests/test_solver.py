@@ -300,8 +300,9 @@ def _full_row_pass_overflows(plan, flag):
 
 
 def _assert_rows_are_whole_row_minima(plan, flag):
-    """solve()'s value[i] and next_ckpt[i] are the minimum and argmin of row
-    i priced out to state N from the returned V, bit for bit."""
+    """solve()'s value[i] and next_ckpt[i] are the minimum, clamped up to 0
+    as solve() stores it, and the argmin of row i priced out to state N from
+    the returned V, bit for bit."""
     try:
         result = solve(plan, flag)
     except PlanOverflowError:
@@ -315,6 +316,8 @@ def _assert_rows_are_whole_row_minima(plan, flag):
             best, offset = solver._row_min(
                 solver._row_costs(i, n, cols, value, flag), cols.p[i]
             )
+            if best < 0.0:
+                best = 0.0
             assert (best.hex(), offset) == (
                 value[i].hex(), result.policy.next_ckpt[i] - i - 1
             ), (n, i)
@@ -328,6 +331,15 @@ def test_stopped_rows_equal_whole_rows_bit_for_bit(n, flag):
     rng = random.Random(n)
     for steps in _stop_rule_plans(rng, n):
         _assert_rows_are_whole_row_minima(TaskPlan(steps), flag)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("p_a", [0.3, 0.7])
+def test_clamped_rows_equal_whole_rows_bit_for_bit(p_a, flag):
+    """Free steps after a redo cost: row minima round below 0 and are
+    clamped, so the argmins are checked on rows of tiny negative cells."""
+    for free in range(1, 61):
+        _assert_rows_are_whole_row_minima(redo_then_free_steps(p_a, free), flag)
 
 
 def _row_tau(cols, value, i, flag):
